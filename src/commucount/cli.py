@@ -137,13 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count2(args, budget) -> list[dict]:
     params = {"n": args.n, "split": args.split}
-    value = count_commuting_2x2(args.n)
+    if args.split:
+        split = gamma_split(args.n, budget)
+        value = split.degenerate + split.nondegenerate
+    else:
+        value = count_commuting_2x2(args.n, budget)
     diagnostics: dict = {}
     if args.n >= 1:
-        diagnostics["normalized"] = float(normalized_count_2x2(args.n))
+        diagnostics["normalized"] = float(normalized_count_2x2(args.n, count=value))
         diagnostics["limit_constant"] = float(main_term_constant_2x2())
     if args.split:
-        split = gamma_split(args.n)
         diagnostics["degenerate"] = str(split.degenerate)
         diagnostics["nondegenerate"] = str(split.nondegenerate)
         if args.n >= 1:
@@ -202,7 +205,7 @@ def _cmd_divisor(args, budget) -> list[dict]:
             for h in table.support()
         ]
     if args.zero or args.h is None or args.h == 0:
-        value = r_zero(args.n)
+        value = r_zero(args.n, budget)
         predicted = float(dependent_pair_constant()) * args.n**2 * np.log(args.n) if args.n > 1 else 0.0
         diagnostics = {"central_gap_per_n2": (value - predicted) / args.n**2}
         return [_result("divisor", {"n": args.n, "h": 0}, str(value), diagnostics)]

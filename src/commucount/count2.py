@@ -17,9 +17,11 @@ counts ordered pairs of box points whose difference lies on the line of p
 (the weight each admissible diagonal-difference contributes).  Both factors
 have elementary closed forms, and every term for the phi(m) directions with
 the same coordinate maximum m is identical up to the |u|+|v| and |u*v| sums,
-so the whole sum collapses to O(N) integer arithmetic via
-sum_{j<m, gcd(j,m)=1} j = m*phi(m)/2.  A literal per-direction evaluation is
-kept alongside for cross-checking; the brute oracle validates both.
+so the sum over m collapses via sum_{j<m, gcd(j,m)=1} j = m*phi(m)/2 into
+blocks of m on which 2N//m is constant, each a polynomial in 2N//m times the
+totient power sums sum phi(m)*m^k: O(N^(2/3)) integer arithmetic in all.  A
+literal per-direction evaluation is kept alongside for cross-checking; the
+brute oracle validates both.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from typing import NamedTuple
 from .core import (
     PrimitiveDirection,
     main_term_constant_2x2,
+    power_sum_work,
     primitive_directions,
-    totient_sieve,
+    totient_power_sums,
 )
+from .oracle import WorkBudget
 
 
 def line_count(n: int, p: PrimitiveDirection) -> int:
@@ -87,13 +91,13 @@ class GammaSplit(NamedTuple):
     nondegenerate: int  # all four off-diagonal entries nonzero
 
 
-def _split_terms(n: int) -> tuple[int, int]:
-    """(degenerate, nondegenerate) via the O(N) totient aggregation."""
+def _split_terms(n: int, budget: WorkBudget | None) -> tuple[int, int]:
+    """(degenerate, nondegenerate) via the totient aggregation in blocks."""
     side = 2 * n + 1
     side2 = side * side
     if n == 0:
         return 1, 0
-    phi = totient_sieve(n)
+    (budget or WorkBudget()).require(power_sum_work(n, 2), "totient power sums")
     w_axis = _difference_weight(n, 1, 0)
     w_diag = _difference_weight(n, 1, 1)
     k1 = 2 * n
@@ -104,40 +108,46 @@ def _split_terms(n: int) -> tuple[int, int]:
     # Diagonal directions (1,1), (1,-1).
     deg += 2 * k1 * 2 * (side2 + w_diag)
     nondeg = k1 * k1 * 2 * (side2 + w_diag)
-    for m in range(2, n + 1):
-        ph = int(phi[m])
-        if ph == 0:
-            continue
-        k = 2 * (n // m)
-        big = (2 * n) // m
-        t1 = big * (big + 1) // 2
-        t2 = big * (big + 1) * (2 * big + 1) // 6
-        # sum of w over the phi(m) coprime patterns {m, j}: the |u|+|v| sums
-        # telescope through sum_j j = m*phi(m)/2, and each pattern appears in
-        # 4 sign/swap variants with identical weight.
-        w_sum = 2 * (side2 * big * ph) - 3 * side * t1 * m * ph + t2 * m * m * ph
-        group = 4 * ph * side2 + 4 * w_sum
+    # Directions with m >= 2, grouped into blocks of m with one q = 2n//m
+    # (so one k = 2*(n//m)).  Over the phi(m) coprime patterns {m, j} the
+    # |u|+|v| sums telescope through sum_j j = m*phi(m)/2, and each pattern
+    # appears in 4 sign/swap variants with identical weight, so a block
+    # contributes a polynomial in q times S_k = sum phi(m)*m^k, k = 0, 1, 2.
+    sums = totient_power_sums(n, 2)
+    prev = sums.sums[0]  # the block {1}, counted above
+    for end, cur in zip(sums.ends[1:], sums.sums[1:]):
+        q = (2 * n) // end
+        t1 = q * (q + 1) // 2
+        t2 = t1 * (2 * q + 1) // 3
+        k = q - q % 2
+        group = (
+            (4 + 8 * q) * side2 * (cur[0] - prev[0])
+            - 12 * side * t1 * (cur[1] - prev[1])
+            + 4 * t2 * (cur[2] - prev[2])
+        )
         deg += 2 * k * group
         nondeg += k * k * group
+        prev = cur
     return deg, nondeg
 
 
-def count_commuting_2x2(n: int) -> int:
+def count_commuting_2x2(n: int, budget: WorkBudget | None = None) -> int:
     """Number of ordered pairs (A, B) of 2x2 integer matrices, entries in
-    [-n, n], with AB == BA.  Exact, O(n) time."""
+    [-n, n], with AB == BA.  Exact, O(n^(2/3)) time; the budget is charged
+    the sieve length and the recursion steps before any work."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    deg, nondeg = _split_terms(n)
+    deg, nondeg = _split_terms(n, budget)
     return deg + nondeg
 
 
-def gamma_split(n: int) -> GammaSplit:
+def gamma_split(n: int, budget: WorkBudget | None = None) -> GammaSplit:
     """The commuting count split by whether some off-diagonal entry of A or
     B vanishes (degenerate) or all four are nonzero (nondegenerate).  The
     two parts sum to count_commuting_2x2(n) exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return GammaSplit(*_split_terms(n))
+    return GammaSplit(*_split_terms(n, budget))
 
 
 def count_commuting_2x2_by_direction(n: int) -> int:
@@ -165,11 +175,14 @@ def asymptotic_main_term_2(n: int, digits: int = 40) -> Decimal:
         return main_term_constant_2x2(digits) * (2 * n) ** 5
 
 
-def normalized_count_2x2(n: int, digits: int = 40) -> Decimal:
+def normalized_count_2x2(n: int, digits: int = 40, count: int | None = None) -> Decimal:
     """count_commuting_2x2(n) / (2n)^5 as a high-precision decimal; tends to
-    the main-term constant 4.5614425920673529... as n grows."""
+    the main-term constant 4.5614425920673529... as n grows.  A `count`
+    already in hand is used instead of recomputing it."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count is None:
+        count = count_commuting_2x2(n)
     with localcontext() as ctx:
         ctx.prec = digits
-        return Decimal(count_commuting_2x2(n)) / Decimal(2 * n) ** 5
+        return Decimal(count) / Decimal(2 * n) ** 5

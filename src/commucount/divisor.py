@@ -21,7 +21,12 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import pairwise_fraction_sum, product_distribution, totient_sieve
+from .core import (
+    pairwise_fraction_sum,
+    power_sum_work,
+    product_distribution,
+    totient_power_sums,
+)
 from .errors import BudgetExceeded
 from .oracle import WorkBudget
 
@@ -72,19 +77,24 @@ class RTable:
         return sum(self.values.values())
 
 
-def r_zero(n: int) -> int:
+def r_zero(n: int, budget: WorkBudget | None = None) -> int:
     """r_N(0) in closed form: quadruples with x1*x2 = x3*x4 correspond to
     ordered pairs of linearly dependent vectors (x1, x4), (x3, x2), counted
     as 2*(2n+1)^2 - 1 (a zero vector involved) plus 16*sum_m phi(m)*(n//m)^2
-    (both nonzero on a common primitive line).  O(n) time."""
+    (both nonzero on a common primitive line).  The sum runs over blocks of
+    m with one n//m, reading sum phi(m) at their ends: O(n^(2/3)) time, with
+    the budget charged before any work."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    (budget or WorkBudget()).require(power_sum_work(n, 0), "totient power sums")
     side = 2 * n + 1
-    phi = totient_sieve(n)
+    sums = totient_power_sums(n, 0)
     dependent = 0
-    for m in range(1, n + 1):
-        k = n // m
-        dependent += int(phi[m]) * k * k
+    prev = 0
+    for end, (cur,) in zip(sums.ends, sums.sums):
+        k = n // end
+        dependent += (cur - prev) * k * k
+        prev = cur
     return 2 * side * side - 1 + 16 * dependent
 
 
@@ -102,7 +112,7 @@ def r_table(n: int, budget: WorkBudget | None = None) -> RTable:
     counts = np.zeros(support, dtype=np.uint64)
     for value, cnt in dist.items():
         counts[value + n * n] = cnt
-    r0 = r_zero(n)
+    r0 = r_zero(n, budget)
     corr = _kronecker_correlation(counts, 32 if r0 < 2**32 else 64)
     center = support - 1
     if int(corr[center]) != r0:
@@ -161,11 +171,20 @@ def divisor_bound_check(
 _SIEVE_LIMIT = 10**7
 
 
-def _tau_sieve(limit: int) -> np.ndarray:
-    tau = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        tau[d::d] += 1
-    return tau
+def _divisor_sieve(limit: int, k: int) -> np.ndarray:
+    """sigma_k(0..limit) = sum of d^k over the divisors d of m, as int64
+    (entry 0 is 0).  Every divisor pair d * e = m with d <= e has d <=
+    sqrt(limit), so one pass over those d adds d^k + e^k to the multiples
+    d*e, e > d, and d^k to d*d."""
+    sigma = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, math.isqrt(limit) + 1):
+        sigma[d * d] += d**k
+        multiples = sigma[d * (d + 1) :: d]
+        multiples += d**k
+        partners = np.arange(d + 1, limit // d + 1, dtype=np.int64)
+        partners **= k
+        multiples += partners
+    return sigma
 
 
 def classic_divisor_correlation(x: int, h: int) -> int:
@@ -176,7 +195,7 @@ def classic_divisor_correlation(x: int, h: int) -> int:
         raise ValueError("h must be >= 0")
     if x + h > _SIEVE_LIMIT:
         raise ValueError(f"x + h must stay within the sieve limit {_SIEVE_LIMIT}")
-    tau = _tau_sieve(x + h)
+    tau = _divisor_sieve(x + h, 0)
     return int(np.dot(tau[1 : x + 1], tau[1 + h : x + h + 1]))
 
 
@@ -190,9 +209,7 @@ def partial_sum_check(x: int, k: int) -> Fraction:
         raise ValueError("x must be in 1..10^6")
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4")
-    sigma = np.zeros(x + 1, dtype=np.int64)
-    for d in range(1, x + 1):
-        sigma[d::d] += d
+    sigma = _divisor_sieve(x, 1)
     total = pairwise_fraction_sum(
         Fraction(int(sigma[m]), m) ** k for m in range(1, x + 1)
     )
@@ -203,9 +220,7 @@ def partial_sum_float(x: int, k: int) -> float:
     """float64 rendering of partial_sum_check for large X diagnostics."""
     if not 1 <= x <= 10**7:
         raise ValueError("x must be in 1..10^7")
-    sigma = np.zeros(x + 1, dtype=np.int64)
-    for d in range(1, x + 1):
-        sigma[d::d] += d
+    sigma = _divisor_sieve(x, 1)
     ratios = sigma[1:].astype(np.float64) / np.arange(1, x + 1, dtype=np.float64)
     return float((ratios**k).sum() / x)
 

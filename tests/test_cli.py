@@ -6,11 +6,14 @@ cli.main() with the cache redirected into a temp directory.
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import commucount
 from commucount import __version__
 from commucount.cli import main
 
@@ -48,6 +51,26 @@ def test_count2_split_partitions(capsys):
     deg = int(res["diagnostics"]["degenerate"])
     nondeg = int(res["diagnostics"]["nondegenerate"])
     assert deg + nondeg == int(res["value"]) == 68673
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_count2_computes_the_count_once(capsys, monkeypatch, split):
+    import commucount.count2 as count2
+
+    calls = []
+    original = count2._split_terms
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(count2, "_split_terms", counted)
+    argv = ["count2", "--n", "7", "--no-cache"] + (["--split"] if split else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and calls == [7]
+    assert json_lines(out)[0]["diagnostics"]["normalized"] == float(
+        count2.normalized_count_2x2(7)
+    )
 
 
 def test_count2_huge_value_roundtrips_as_string(capsys):
@@ -180,6 +203,36 @@ def test_budget_refusal_exits_3(capsys):
     code, _, err = run_cli(capsys, "count3", "--n", "2", "--budget", "100")
     assert code == 3
     assert "budget" in err
+
+
+def run_cli_process(*argv, timeout=10):
+    """The CLI in a child process, killed (and the test failed) if it runs
+    past `timeout` seconds."""
+    root = os.path.dirname(os.path.dirname(commucount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "commucount.cli", *argv, "--no-cache"],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+def test_padic_huge_prime_answers_promptly():
+    proc = run_cli_process("padic", "--p", "1000000000000000003", "--n", "1")
+    assert proc.returncode == 0
+    (res,) = json_lines(proc.stdout)
+    assert res["params"]["p"] == 10**18 + 3
+
+
+def test_count2_far_beyond_budget_refuses_promptly():
+    proc = run_cli_process("count2", "--n", "1000000000000000")
+    assert proc.returncode == 3
+    assert "budget" in proc.stderr
+
+
+def test_count2_and_divisor_zero_charge_the_budget(capsys):
+    assert run_cli(capsys, "count2", "--n", "1000", "--budget", "100")[0] == 3
+    assert run_cli(capsys, "count2", "--n", "1000", "--split", "--budget", "100")[0] == 3
+    assert run_cli(capsys, "divisor", "--n", "1000", "--zero", "--budget", "100")[0] == 3
 
 
 def test_help_and_version_exit_0(capsys):

@@ -15,14 +15,15 @@ from commucount.core import (
     canonical_direction,
     dependent_pair_constant,
     divisor_tau,
-    gcd,
     is_prime,
     main_term_constant_2x2,
     pairwise_fraction_sum,
+    power_sum_work,
     primitive_directions,
     product_distribution,
     totient,
     totient_cubes_tail,
+    totient_power_sums,
     totient_sieve,
     zeta_value,
 )
@@ -76,6 +77,10 @@ def test_totient_sieve_agrees_with_single():
     assert phi[0] == 0
     for u in range(1, 401):
         assert int(phi[u]) == totient(u)
+    # prime powers, and prime factors above sqrt(limit)
+    phi = totient_sieve(10**4)
+    for u in (64, 81, 97, 9973, 2 * 4999, 3 * 3299, 10**4):
+        assert int(phi[u]) == totient(u)
 
 
 def test_totient_divisor_sum_identity():
@@ -94,6 +99,35 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)  # 641 * 6700417
+
+
+def _trial_division_is_prime(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [_trial_division_is_prime(p) for p in range(10**5)]
+    assert [is_prime(p) for p in range(10**5)] == sieve
+    assert not is_prime(-7)
+
+
+def test_is_prime_large():
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))  # above 3.3e24, a base is a witness
+    with pytest.raises(ValueError):
+        is_prime(2**89 - 1)  # prime, but not provably so by these bases
+    # Strong pseudoprimes to every prime base up to 23 and up to 37.
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
 def test_divisor_tau():
@@ -200,9 +234,45 @@ def test_pairwise_fraction_sum_property(values):
     assert pairwise_fraction_sum(values) == sum(values, Fraction(0))
 
 
-def test_gcd_wrapper():
-    assert gcd(0, 0) == 0
-    assert gcd(-4, 6) == 2
+def exact_power_prefix(limit, k):
+    phi = totient_sieve(limit).astype(object)
+    return np.cumsum(phi * np.arange(limit + 1, dtype=object) ** k)
+
+
+def test_power_sums_against_full_sieve_at_every_block_end():
+    # At n = 10^6 the sums come from the sieve up to the cutoff and from the
+    # recursion above it; the reference is one exact prefix sum over all m.
+    n = 10**6
+    sums = totient_power_sums(n, 2)
+    assert sums.ends == sorted({2 * n // j for j in range(2, 2 * n + 1)})
+    for k in range(3):
+        prefix = exact_power_prefix(n, k)
+        assert [row[k] for row in sums.sums] == [prefix[e] for e in sums.ends]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 333, 4096])
+def test_power_sums_small_n(n):
+    sums = totient_power_sums(n, 2)
+    assert sums.ends == sorted({2 * n // j for j in range(2, 2 * n + 1)})
+    for k in range(3):
+        prefix = exact_power_prefix(n, k)
+        assert [row[k] for row in sums.sums] == [prefix[e] for e in sums.ends]
+    assert totient_power_sums(n, 0).sums == [row[:1] for row in sums.sums]
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000, 54321, 10**6, 3 * 10**6])
+@pytest.mark.parametrize("degree", [0, 2])
+def test_power_sum_work_bounds_the_steps(n, degree):
+    steps = totient_power_sums(n, degree).steps
+    work = power_sum_work(n, degree)
+    assert steps <= work <= 2 * steps
+
+
+def test_power_sums_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        totient_power_sums(0, 2)
+    with pytest.raises(ValueError):
+        totient_power_sums(5, 3)
 
 
 def test_totient_sieve_rejects_negative():

@@ -1,6 +1,6 @@
-"""2x2 commuting-pair counting: the O(N) aggregated formula, the literal
-per-direction sum, and the degenerate/nondegenerate split, all pinned to the
-brute oracle and to each other.
+"""2x2 commuting-pair counting: the block-summed aggregated formula, the
+literal per-direction sum, and the degenerate/nondegenerate split, all pinned
+to the brute oracle and to each other.
 """
 
 import pytest
@@ -17,7 +17,10 @@ from commucount.count2 import (
     normalized_count_2x2,
     weighted_line_sum,
 )
-from commucount.oracle import brute_commuting_count
+from commucount.core import power_sum_work
+from commucount.divisor import r_zero
+from commucount.errors import BudgetExceeded
+from commucount.oracle import WorkBudget, brute_commuting_count
 
 # Values the brute oracle reproduces below; kept literal so a regression in
 # *both* routes cannot slip through silently.
@@ -46,8 +49,38 @@ def test_large_value_pinned():
 
 
 def test_aggregated_equals_per_direction():
-    for n in list(range(25)) + [60, 121]:
+    for n in range(151):
         assert count_commuting_2x2(n) == count_commuting_2x2_by_direction(n)
+
+
+# (count, degenerate, nondegenerate, r_N(0)) recorded with the O(N) per-m
+# evaluation that the block sums replaced, at 10^5, 10^6 and five N drawn
+# from [10^4, 10^6] by random.Random(20250421).
+PINNED = {
+    100000: (1459697644326512736581446785, 640090746490583186083997441, 819606897835929550497449344, 1238950318465),
+    1000000: (145966588029611334266212981286273, 64001056766879544997900937496449, 81965531262731789268312043789824, 146292133565185),
+    175622: (24386634016972844021941718449, 10693282491212520069958213665, 13693351525760323951983504784, 3990269486881),
+    259978: (173355930377383049570026521137, 76013069198329760203441884705, 97342861179053289366584636432, 9001922032705),
+    537208: (6530802379483129295299040011649, 2863552639445020997434528081281, 3667249740038108297864511930368, 40474464376513),
+    679846: (21198556830377961994602455829681, 9294863265228149895205252717089, 11903693565149812099397203112592, 65879576750369),
+    885250: (79356619999512489008144475822001, 34795068119429312655151094891041, 44561551880083176352993380930960, 113714723025665),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED))
+def test_block_sums_match_recorded_per_m_values(n):
+    count, degenerate, nondegenerate, r0 = PINNED[n]
+    assert count_commuting_2x2(n) == count
+    assert gamma_split(n) == (degenerate, nondegenerate)
+    assert r_zero(n) == r0
+
+
+def test_budget_charged_before_the_work():
+    with pytest.raises(BudgetExceeded):
+        count_commuting_2x2(10**15)
+    with pytest.raises(BudgetExceeded):
+        gamma_split(10**6, WorkBudget(10**4))
+    assert gamma_split(10**6, WorkBudget(power_sum_work(10**6, 2))) == PINNED[10**6][1:3]
 
 
 def test_rejects_negative():

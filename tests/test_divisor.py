@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from commucount.divisor import (
     FiniteRealSet,
+    _divisor_sieve,
     _kronecker_correlation,
     classic_divisor_correlation,
     divisor_bound_check,
@@ -85,6 +86,22 @@ def test_r_zero_three_routes_agree():
 
 def test_r_zero_pinned_large():
     assert r_zero(2000) == 343525249
+
+
+def test_r_zero_gcd_sum_identity():
+    # Dependent pairs of nonzero vectors on a common line through the
+    # origin, counted by gcd: 16 * sum_{a,b<=N} gcd(a, b).
+    for n in range(1, 301):
+        a = np.arange(1, n + 1, dtype=np.int64)
+        gcd_sum = int(np.gcd.outer(a, a).sum())
+        assert r_zero(n) == 2 * (2 * n + 1) ** 2 - 1 + 16 * gcd_sum
+
+
+def test_r_zero_budget_refusal():
+    with pytest.raises(BudgetExceeded):
+        r_zero(10**15)
+    with pytest.raises(BudgetExceeded):
+        r_zero(10**6, WorkBudget(10**4))
 
 
 def test_r_zero_size_law():
@@ -177,6 +194,18 @@ def test_classic_divisor_correlation_validation():
         classic_divisor_correlation(10, -1)
     with pytest.raises(ValueError):
         classic_divisor_correlation(10**7, 1)
+
+
+def test_divisor_sieve_against_divisor_tau():
+    for x in (1, 2, 3, 4, 99, 100, 2000):
+        tau = _divisor_sieve(x, 0)
+        assert tau.dtype == np.int64 and tau[0] == 0
+        assert tau[1:].tolist() == [divisor_tau(m) for m in range(1, x + 1)]
+        # sigma against the one-pass-per-integer sieve it replaced
+        sigma = np.zeros(x + 1, dtype=np.int64)
+        for d in range(1, x + 1):
+            sigma[d::d] += d
+        assert np.array_equal(_divisor_sieve(x, 1), sigma)
 
 
 def test_partial_sums():
