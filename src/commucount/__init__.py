@@ -36,6 +36,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     IndexOutOfRange,
+    InvariantViolation,
     NotPrime,
     UnsupportedDimension,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "BudgetExceeded",
     "DimensionMismatch",
     "IndexOutOfRange",
+    "InvariantViolation",
     "NotPrime",
     "PadicParams",
     "UnsupportedDimension",

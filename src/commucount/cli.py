@@ -8,7 +8,8 @@ an append-only JSON-lines file keyed by (command, canonical params, package
 version); a hit replays the stored result verbatim.
 
 Exit codes: 0 success, 1 failed verification criterion, 2 usage error,
-3 work-budget refusal.
+3 work-budget refusal, 4 internal invariant violated (a defect, not bad
+input).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .divisor import (
     r_table,
     r_zero,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .oracle import WorkBudget, brute_commuting_count
 from .padic import (
     PadicParams,
@@ -201,8 +202,8 @@ def _cmd_divisor(args, budget) -> list[dict]:
     if args.all:
         table = r_table(args.n, budget)
         return [
-            _result("divisor", {"n": args.n, "h": h}, str(table.values[h]), {})
-            for h in table.support()
+            _result("divisor", {"n": args.n, "h": h}, str(value), {})
+            for h, value in table.items()
         ]
     if args.zero or args.h is None or args.h == 0:
         value = r_zero(args.n, budget)
@@ -448,6 +449,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

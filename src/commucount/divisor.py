@@ -3,12 +3,16 @@ finite-set analogues (doubling constants, sup-vs-center correlation checks).
 
 The central object is r_N(h): over the grid [-N, N]^4, how many quadruples
 satisfy x1*x2 - x3*x4 = h.  That is the autocorrelation of the product
-distribution, so it is computed exactly by squaring one big integer whose
-base-2^bits digits are the distribution's counts (Kronecker substitution);
-no floating point anywhere.  The same trick serves arbitrary finite rational
-sets when their product support is dense enough to justify it; sparse
-supports go through dict or sorted-array correlation instead.  Every route
-is exact and they are pairwise cross-checked in the test suite.
+distribution.  One exact primitive, _autocorrelation, computes it for the
+grid and for arbitrary finite rational sets, by one of three routes picked
+from its input: a dense transform (the counts written as decimal digit
+groups of one number, squared exactly by libmpdec against its reversal)
+when the product span is small next to the number of distinct products,
+else a sort of the pairwise product differences, in int64 or, for big
+integers, on fingerprints mod a prime with exact comparison inside every
+shared bucket.  No floating point anywhere; every route checks the centre
+and mass identities, and the test suite checks each against a naive
+double loop.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -27,54 +31,246 @@ from .core import (
     product_distribution,
     totient_power_sums,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .oracle import WorkBudget
 
 SetLike = Union["FiniteRealSet", Iterable[Union[int, Fraction]]]
 
 
-# --- dense exact correlation by big-integer squaring --------------------------
+# --- the exact correlation primitive ------------------------------------------
+
+# The dense transform costs about 0.5 us per unit of product span, the
+# int64 sort about 45 ns per pair of distinct products (s^2 / 2 pairs of
+# s values); the transform wins when span < 0.07 s^2 (measured on sets of
+# 10 to 80 elements with spans from 3e3 to 2e6).
+_DENSE_SPAN_PER_PAIR = 0.07
+# Memory caps: the transform holds about 100 bytes per unit of span, the
+# sort five int64 arrays over its pairs.
+_MAX_DENSE_SPAN = 2_000_000
+_MAX_SORT_PAIRS = 12_500_000
+# Fingerprint modulus for big-integer differences: a prime below 2^61, so
+# a difference of residues fits int64.  Not the Mersenne prime 2^61 - 1:
+# there 2^61 = 1, and the differences of a set of powers of two collide by
+# construction.
+_FINGERPRINT_PRIME = 2**61 - 31
 
 
-def _kronecker_correlation(counts: np.ndarray, bits: int) -> np.ndarray:
-    """Exact autocorrelation of a dense nonnegative-count array.
+def _autocorrelation(
+    products: dict[int, int],
+    center: int,
+    budget: WorkBudget | None = None,
+    dense: bool = False,
+) -> np.ndarray:
+    """Exact autocorrelation r(h) = sum_{m1 - m2 = h} c(m1) c(m2) of distinct
+    values m with counts c(m) > 0.
 
-    Packs the counts as base-2^bits digits of one integer, multiplies it by
-    its digit-reversal, and reads the product's digits back: digit L-1+h of
-    the product is sum_i counts[i]*counts[i-h].  Caller must guarantee every
-    output value < 2^bits (r(0) bounds them all, by Cauchy-Schwarz)."""
-    if bits == 32:
-        kind, width = "<u4", 4
-    elif bits == 64:
-        kind, width = "<u8", 8
+    With `dense`, returns the int64 array indexed by h + max - min, over the
+    whole span; a result that size costs O(span) whatever the route, so it
+    always comes from the dense transform.  Otherwise returns r(0) followed
+    by the nonzero r(h), h > 0, in no particular order (r(-h) = r(h)), from
+    the route the input favours: the dense transform when the span is small
+    next to the number s of distinct values, else a sort of the s(s-1)/2
+    pairwise differences, in int64 when every |m| < 2^62 and by fingerprint
+    otherwise.
+
+    Every r(h) is at most r(0) = sum c^2 (Cauchy-Schwarz), which must equal
+    `center`, and the r(h) sum to (sum c)^2; a result that breaks either
+    identity raises InvariantViolation."""
+    budget = budget or WorkBudget()
+    values = sorted(products)
+    weights = np.array([products[m] for m in values], dtype=np.int64)
+    lo, hi = values[0], values[-1]
+    span, s = hi - lo + 1, len(values)
+    r0 = int(weights @ weights)
+    if dense or (
+        span <= _MAX_DENSE_SPAN
+        and (span <= _DENSE_SPAN_PER_PAIR * s * s or s * (s - 1) // 2 > _MAX_SORT_PAIRS)
+    ):
+        budget.require(span, "dense product-correlation length")
+        offsets = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
+        counts = np.zeros(span, dtype=np.int64)
+        counts[offsets] = weights
+        corr = _dense_correlation(counts, len(str(r0)))
+        got_center, got_mass = int(corr[span - 1]), int(corr.sum())
+        if not dense:
+            corr = corr[span - 1 :]
+            corr = corr[corr != 0]
     else:
-        raise ValueError("bits must be 32 or 64")
+        if s * (s - 1) // 2 > _MAX_SORT_PAIRS:
+            raise BudgetExceeded(s * (s - 1) // 2, _MAX_SORT_PAIRS, "product-correlation pairs")
+        budget.require(s * s, "product-correlation pair work")
+        if s == 1:
+            half = np.zeros(0, dtype=np.int64)
+        elif max(-lo, hi) < 2**62:
+            half = _sorted_pair_sums(np.array(values, dtype=np.int64), weights)
+        else:
+            half = _fingerprint_pair_sums(values, weights)
+        got_center, got_mass = r0, r0 + 2 * int(half.sum())
+        corr = np.concatenate(([r0], half))
+    mass = int(weights.sum()) ** 2
+    if got_center != center or r0 != center or got_mass != mass:
+        raise InvariantViolation(
+            f"autocorrelation centre {got_center} and mass {got_mass} disagree "
+            f"with the expected {center} and {mass}"
+        )
+    return corr
+
+
+def _dense_correlation(counts: np.ndarray, width: int) -> np.ndarray:
+    """Exact autocorrelation of a dense count array, every output below
+    10^width.
+
+    Writes the counts as width-digit decimal groups of one number, and in
+    reverse order as another, multiplies the two with libmpdec (which uses
+    a number-theoretic transform on large operands) and reads the product
+    back in groups: group L - 1 + h is sum_i counts[i] * counts[i + h].  The
+    context traps Inexact and Rounded, so a product that would not be exact
+    raises instead."""
+    import decimal  # here, not at the top: most CLI commands never load it
+
     L = len(counts)
-    blob = int.from_bytes(counts.astype(kind).tobytes(), "little")
-    blob_rev = int.from_bytes(counts[::-1].astype(kind).tobytes(), "little")
-    product = blob * blob_rev
-    raw = product.to_bytes(width * (2 * L - 1), "little")
-    return np.frombuffer(raw, dtype=kind).copy()
+    digits = np.empty((L, width), dtype=np.uint8)
+    rest = counts
+    for k in range(width - 1, -1, -1):
+        rest, digits[:, k] = np.divmod(rest, 10)
+    digits += ord("0")
+    forward = decimal.Decimal(digits.tobytes().decode("ascii"))
+    backward = decimal.Decimal(digits[::-1].tobytes().decode("ascii"))
+    context = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[
+            decimal.InvalidOperation,
+            decimal.Overflow,
+            decimal.Inexact,
+            decimal.Rounded,
+        ],
+    )
+    text = format(context.multiply(forward, backward), "f").encode("ascii")
+    size = (2 * L - 1) * width
+    if len(text) > size:
+        raise InvariantViolation("dense correlation overflowed its digit groups")
+    padded = np.full(size, ord("0"), dtype=np.uint8)
+    padded[size - len(text) :] = np.frombuffer(text, dtype=np.uint8)
+    groups = padded.reshape(2 * L - 1, width)[::-1] - ord("0")
+    out = np.zeros(2 * L - 1, dtype=np.int64)
+    for k in range(width):
+        out *= 10
+        out += groups[:, k]
+    return out
+
+
+def _pair_differences(values: np.ndarray, weights: np.ndarray):
+    """values[j] - values[i] and weights[i] * weights[j] for every i < j,
+    row by row, so no s x s temporary is made."""
+    s = len(values)
+    diffs = np.empty(s * (s - 1) // 2, dtype=values.dtype)
+    prods = np.empty(len(diffs), dtype=np.int64)
+    pos = 0
+    for i in range(s - 1):
+        end = pos + s - 1 - i
+        np.subtract(values[i + 1 :], values[i], out=diffs[pos:end])
+        np.multiply(weights[i + 1 :], weights[i], out=prods[pos:end])
+        pos = end
+    return diffs, prods
+
+
+def _group_sums(keys: np.ndarray, prods: np.ndarray):
+    """Sort the keys and sum the weights of equal keys: (order, run starts,
+    run sums)."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    del keys
+    return order, starts, np.add.reduceat(prods[order], starts)
+
+
+def _sorted_pair_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """r(h) for h > 0 from sorted int64 values below 2^62 in magnitude,
+    grouped on the exact differences."""
+    diffs, prods = _pair_differences(values, weights)
+    return _group_sums(diffs, prods)[2]
+
+
+def _fingerprint_pair_sums(values: list[int], weights: np.ndarray) -> np.ndarray:
+    """r(h) for h > 0 from sorted values of any size.
+
+    Pairs are grouped on their difference mod _FINGERPRINT_PRIME.  Inside
+    every group of two or more pairs the exact differences are compared;
+    if any group holds two, all such pairs are grouped again on their exact
+    differences, so a collision mod the prime cannot merge two h."""
+    s = len(values)
+    residues = np.array([m % _FINGERPRINT_PRIME for m in values], dtype=np.int64)
+    keys, prods = _pair_differences(residues, weights)
+    keys %= _FINGERPRINT_PRIME
+    order, starts, sums = _group_sums(keys, prods)
+    del keys
+    sizes = np.diff(np.append(starts, len(order)))
+    shared = np.repeat(sizes > 1, sizes)
+    if not shared.any():
+        return sums
+    pairs = order[shared]
+    # Pair p is (i, j), i < j, where row i starts at p = i(2s - i - 1)/2.
+    rows = np.repeat(np.arange(s - 1), np.arange(s - 1, 0, -1))[pairs]
+    cols = pairs - rows * (2 * s - rows - 1) // 2 + rows + 1
+    exact = np.array(values, dtype=object)
+    differences = exact[cols] - exact[rows]
+    counts = sizes[sizes > 1]
+    firsts = np.cumsum(counts) - counts
+    if (differences == np.repeat(differences[firsts], counts)).all():
+        return sums
+    _, by_difference = np.unique(differences, return_inverse=True)
+    regrouped = np.zeros(by_difference.max() + 1, dtype=np.int64)
+    np.add.at(regrouped, by_difference, prods[pairs])
+    return np.concatenate((sums[sizes == 1], regrouped))
 
 
 # --- the grid product autocorrelation -----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RTable:
-    """Sparse table of r_N(h); value(h) = 0 off the stored support."""
+    """r_N(h) for |h| <= 2N^2, stored as the int64 array r[h + 2N^2]."""
 
     n: int
-    values: dict[int, int]
+    r: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RTable):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.r, other.r)
 
     def value(self, h: int) -> int:
-        return self.values.get(h, 0)
+        """r_N(h); 0 off the support."""
+        k = h + 2 * self.n * self.n
+        return int(self.r[k]) if 0 <= k < len(self.r) else 0
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        """The nonzero entries (h, r_N(h)) as Python ints, by increasing h."""
+        nonzero = np.flatnonzero(self.r)
+        return zip((nonzero - 2 * self.n * self.n).tolist(), self.r[nonzero].tolist())
+
+    @property
+    def values(self) -> dict[int, int]:
+        """The nonzero entries as a dict {h: r_N(h)}."""
+        return dict(self.items())
 
     def support(self) -> list[int]:
-        return sorted(self.values)
+        return (np.flatnonzero(self.r) - 2 * self.n * self.n).tolist()
 
     def total(self) -> int:
-        return sum(self.values.values())
+        return int(self.r.sum())
+
+
+def _power_sum(values: np.ndarray, k: int) -> int:
+    """sum(values**k), exact, for nonnegative int64 values.  When every
+    power fits in int64, numpy adds the powers' high and low 32-bit halves
+    apart, so neither sum can wrap; otherwise Python integers do it."""
+    if int(values.max()) ** k < 2**63 and len(values) < 2**31:
+        powers = values**k
+        return (int((powers >> 32).sum()) << 32) + int((powers & 0xFFFFFFFF).sum())
+    return sum(v**k for v in values.tolist())
 
 
 def r_zero(n: int, budget: WorkBudget | None = None) -> int:
@@ -101,24 +297,16 @@ def r_zero(n: int, budget: WorkBudget | None = None) -> int:
 def r_table(n: int, budget: WorkBudget | None = None) -> RTable:
     """The full autocorrelation table r_N(h) for |h| <= 2n^2, exact.
 
-    Budgeted as O(support^2) pair work, which caps n near 300 under the
-    default budget; the actual big-integer squaring is much cheaper."""
+    Budgeted as O(support^2) pair work, which caps n near 224 under the
+    default budget; the dense transform behind it is much cheaper."""
     if n < 1:
         raise ValueError("n must be >= 1")
     budget = budget or WorkBudget()
     support = 2 * n * n + 1
     budget.require(support * support, "product-autocorrelation pair work")
-    dist = product_distribution(n)
-    counts = np.zeros(support, dtype=np.uint64)
-    for value, cnt in dist.items():
-        counts[value + n * n] = cnt
-    r0 = r_zero(n, budget)
-    corr = _kronecker_correlation(counts, 32 if r0 < 2**32 else 64)
-    center = support - 1
-    if int(corr[center]) != r0:
-        raise AssertionError("autocorrelation center disagrees with closed form")
-    table = {int(j - center): int(corr[j]) for j in np.flatnonzero(corr)}
-    return RTable(n=n, values=table)
+    r = _autocorrelation(product_distribution(n), r_zero(n, budget), budget, dense=True)
+    r.flags.writeable = False
+    return RTable(n=n, r=r)
 
 
 def moment(
@@ -132,7 +320,7 @@ def moment(
         table = r_table(n, budget)
     elif table.n != n:
         raise ValueError(f"table is for n={table.n}, not n={n}")
-    return sum(v**k for v in table.values.values())
+    return _power_sum(table.r, k)
 
 
 def divisor_bound_check(
@@ -336,55 +524,14 @@ def lemma61_check(aset: SetLike, budget: WorkBudget | None = None) -> dict[str, 
 
     sup_r is taken over every h with r_A(h) > 0.  (Whether the center
     dominates, sup_r == r0, is deliberately *not* enforced here — that is
-    the property the callers test.)  Three exact routes, picked by support
-    size and value magnitude; anything too large for all three refuses."""
+    the property the callers test.)  The correlation comes from
+    _autocorrelation, which picks its route from the products' span and
+    count; a set too large for every route refuses."""
     aset = FiniteRealSet.from_values(aset)
     if len(aset) > 500:
         raise ValueError("lemma61_check supports sets of at most 500 elements")
-    budget = budget or WorkBudget()
     ints, _ = _scaled_integers(aset)
     counts = _product_counts(ints)
     r0 = sum(c * c for c in counts.values())
-    s = len(counts)
-
-    if s * s <= 2_000_000:
-        budget.require(s * s, "product-correlation pair work")
-        diffs: Counter = Counter()
-        for m1, c1 in counts.items():
-            for m2, c2 in counts.items():
-                diffs[m1 - m2] += c1 * c2
-        sup = max(diffs.values())
-        i3 = sum(v**3 for v in diffs.values())
-    elif max(abs(m) for m in counts) < 2**62 and s * s <= 25_000_000:
-        budget.require(s * s, "product-correlation pair work")
-        vals = np.fromiter(counts.keys(), dtype=np.int64, count=s)
-        wts = np.fromiter(counts.values(), dtype=np.int64, count=s)
-        d = (vals[:, None] - vals[None, :]).ravel()
-        w = (wts[:, None] * wts[None, :]).ravel()
-        order = np.argsort(d, kind="stable")
-        d = d[order]
-        w = w[order]
-        starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
-        sums = np.add.reduceat(w, starts)
-        sup = int(sums.max())
-        if sup**3 * len(sums) < 2**62:
-            i3 = int((sums**3).sum())
-        else:
-            i3 = sum(int(v) ** 3 for v in sums.tolist())
-    elif max(counts) - min(counts) <= 400_000:
-        vmin = min(counts)
-        L = max(counts) - vmin + 1
-        budget.require(L, "dense product-correlation length")
-        dense = np.zeros(L, dtype=np.uint64)
-        for m, c in counts.items():
-            dense[m - vmin] = c
-        corr = _kronecker_correlation(dense, 32 if r0 < 2**32 else 64)
-        nz = corr[np.flatnonzero(corr)]
-        sup = int(nz.max())
-        i3 = sum(int(v) ** 3 for v in nz.tolist())
-        if int(corr[L - 1]) != r0:
-            raise AssertionError("dense correlation center disagrees with r0")
-    else:
-        raise BudgetExceeded(s * s, budget.max_states, "product-correlation pair work")
-
-    return {"sup_r": sup, "r0": r0, "i3": i3}
+    corr = _autocorrelation(counts, r0, budget)
+    return {"sup_r": int(corr.max()), "r0": r0, "i3": 2 * _power_sum(corr, 3) - r0**3}

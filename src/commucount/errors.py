@@ -31,3 +31,9 @@ class IndexOutOfRange(ValueError):
 
 class UnsupportedDimension(ValueError):
     """The requested matrix dimension has no implementation."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal consistency check failed: two independent routes to the
+    same exact number disagree.  Signals a defect in the program, never bad
+    input."""

@@ -62,7 +62,11 @@ def valuation(x: int, params: PadicParams) -> int:
 def s_n0_formula(params: PadicParams) -> int:
     """|class-0 solutions| = p^{4n}(1 + 1/p)(1 - 1/p^3), always integral:
     p^{4n} + p^{4n-1} - p^{4n-3} - p^{4n-4}."""
-    p, n = params.p, params.n
+    return _class0_count(params.p, params.n)
+
+
+def _class0_count(p: int, n: int) -> int:
+    """s_n0_formula at level n for a p already known to be prime."""
     return p ** (4 * n) + p ** (4 * n - 1) - p ** (4 * n - 3) - p ** (4 * n - 4)
 
 
@@ -97,7 +101,7 @@ def fast_padic_count(params: PadicParams) -> int:
     p, n = params.p, params.n
     total = p ** (6 * (n // 2))
     for h in range((n + 1) // 2):
-        total += p ** (6 * h) * s_n0_formula(PadicParams(p, n - 2 * h))
+        total += p ** (6 * h) * _class0_count(p, n - 2 * h)
     return p ** (2 * n) * total
 
 
@@ -136,7 +140,7 @@ def valuation_classes_fast(params: PadicParams) -> ValuationClassCounts:
     p^{6*floor(n/2)}.  Sums to fast_padic_count / p^{2n}."""
     p, n = params.p, params.n
     classes = {
-        h: p ** (6 * h) * s_n0_formula(PadicParams(p, n - 2 * h))
+        h: p ** (6 * h) * _class0_count(p, n - 2 * h)
         for h in range((n + 1) // 2)
     }
     return ValuationClassCounts(

@@ -24,7 +24,12 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, UnsupportedDimension
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvariantViolation,
+    UnsupportedDimension,
+)
 from .oracle import MeetInMiddle3, WorkBudget, resolve_threads, states_3x3
 
 IntMatrix = list[list[int]]
@@ -278,7 +283,7 @@ def _classify_range(n: int, lo: int, hi: int, check_system: bool) -> np.ndarray:
             y = np.concatenate(pend_y)
             mx = np.einsum("krc,kc->kr", m, x)
             if not np.array_equal(mx, y):
-                raise AssertionError(
+                raise InvariantViolation(
                     "a commuting pair violated M X = Y; the hard-coded system "
                     "rows disagree with the commutator"
                 )

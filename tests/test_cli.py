@@ -140,6 +140,26 @@ def test_divisor_all_streams_every_h(capsys):
     assert 7 not in hs and -7 not in hs
 
 
+def test_divisor_all_matches_the_oracle(capsys):
+    from commucount.oracle import brute_r_table
+
+    code, out, _ = run_cli(capsys, "divisor", "--n", "5", "--all")
+    assert code == 0
+    lines = json_lines(out)
+    assert {line["params"]["h"]: int(line["value"]) for line in lines} == brute_r_table(5)
+    assert [line["params"]["h"] for line in lines] == sorted(brute_r_table(5))
+
+
+def test_invariant_violation_exits_4(capsys, monkeypatch):
+    import commucount.divisor as divisor
+
+    monkeypatch.setattr(divisor, "r_zero", lambda n, budget=None: 1)
+    code, out, err = run_cli(capsys, "divisor", "--n", "5", "--all")
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err
+
+
 def test_moments_and_dx(capsys):
     _, out, _ = run_cli(capsys, "moments", "--n", "1", "--k", "2")
     assert json_lines(out)[0]["value"] == "1921"

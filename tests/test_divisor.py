@@ -1,6 +1,7 @@
 """Autocorrelation machinery: the exact r-table against the brute oracle,
-the Kronecker-substitution correlation against naive convolution, the three
-lemma61_check routes, and the classical divisor-sum diagnostics.
+the dense decimal transform against naive convolution, each route of the
+correlation primitive against a naive double loop, and the classical
+divisor-sum diagnostics.
 """
 
 import math
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commucount import divisor
 from commucount.divisor import (
     FiniteRealSet,
+    _dense_correlation,
     _divisor_sieve,
-    _kronecker_correlation,
     classic_divisor_correlation,
     divisor_bound_check,
     doubling_report,
@@ -27,23 +29,18 @@ from commucount.divisor import (
     r_zero,
 )
 from commucount.core import divisor_tau, zeta_value
-from commucount.errors import BudgetExceeded
+from commucount.errors import BudgetExceeded, InvariantViolation
 from commucount.oracle import WorkBudget, brute_r_table
 
 
-# --- the Kronecker correlation kernel ------------------------------------------
+# --- the dense transform -------------------------------------------------------
 
 
 @settings(max_examples=40)
-@given(
-    st.lists(st.integers(0, 1000), min_size=1, max_size=120),
-    st.sampled_from([32, 64]),
-)
-def test_kronecker_matches_naive_convolution(counts, bits):
-    arr = np.asarray(counts, dtype=np.uint64)
-    if int((arr.astype(object) ** 2).sum()) >= 2**bits:
-        return  # caller contract: every output value must fit in a digit
-    corr = _kronecker_correlation(arr, bits)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=120))
+def test_dense_transform_matches_naive_convolution(counts):
+    arr = np.asarray(counts, dtype=np.int64)
+    corr = _dense_correlation(arr, len(str(int(arr @ arr))))
     L = len(arr)
     assert len(corr) == 2 * L - 1
     for h in range(-(L - 1), L):
@@ -53,9 +50,11 @@ def test_kronecker_matches_naive_convolution(counts, bits):
         assert int(corr[L - 1 + h]) == direct
 
 
-def test_kronecker_rejects_other_widths():
-    with pytest.raises(ValueError):
-        _kronecker_correlation(np.array([1], dtype=np.uint64), 16)
+def test_dense_transform_traps_a_narrow_width():
+    # Width 1 cannot hold r(0) = 25: the product has more digits than its
+    # one group, which the transform reports rather than truncating.
+    with pytest.raises(InvariantViolation):
+        _dense_correlation(np.array([5], dtype=np.int64), 1)
 
 
 # --- r_N tables -----------------------------------------------------------------
@@ -63,17 +62,18 @@ def test_kronecker_rejects_other_widths():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_r_table_equals_oracle(n):
-    assert r_table(n).values == brute_r_table(n)
+    assert dict(r_table(n).items()) == brute_r_table(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30])
 def test_r_table_mass_symmetry_support(n):
     table = r_table(n)
     assert table.total() == (2 * n + 1) ** 4
-    assert all(table.value(-h) == v for h, v in table.values.items())
+    assert all(table.value(-h) == v for h, v in table.items())
     assert table.support()[0] == -2 * n * n
     assert table.support()[-1] == 2 * n * n
     assert table.value(10**9) == 0  # off support
+    assert table == r_table(n) and table != r_table(n + 1)
 
 
 def test_r_zero_three_routes_agree():
@@ -147,6 +147,23 @@ def test_moment_reuses_table():
     assert moment(6, 3, table=table) == moment(6, 3)
     with pytest.raises(ValueError):
         moment(6, 0)
+
+
+@pytest.mark.parametrize(
+    "n, i2, i3",
+    [
+        # recorded from the big-integer (Kronecker) squaring route; at
+        # N = 175 the cubes sum in two int64 halves, at N = 250 they pass
+        # 2^63 and sum as Python integers
+        (100, 179441672319297, 25977720736989318753),
+        (175, 5066168742371777, 2221061468986668708993),
+        (250, 42902385604019969, 38379253343915444448321),
+    ],
+)
+def test_moments_pinned_from_the_squaring_route(n, i2, i3):
+    table = r_table(n, WorkBudget(10**11))
+    assert moment(n, 2, table=table) == i2
+    assert moment(n, 3, table=table) == i3
 
 
 def test_third_moment_normalization_window():
@@ -270,6 +287,7 @@ def test_r_set_small_cases():
 def test_r_set_agrees_with_lemma_center():
     vals = [-3, 1, 2, 5, 8]
     assert lemma61_check(vals)["r0"] == r_set(vals, 0)
+    assert lemma61_check([7]) == {"sup_r": 1, "r0": 1, "i3": 1}
 
 
 def test_doubling_report():
@@ -312,14 +330,65 @@ def naive_correlation_stats(ints):
     }
 
 
-def test_dict_route_matches_naive():
-    vals = [-7, -2, 1, 3, 4, 9, 12]
+ROUTES = ("_dense_correlation", "_sorted_pair_sums", "_fingerprint_pair_sums")
+
+
+@pytest.fixture
+def routes_taken(monkeypatch):
+    """The names of the correlation routes each call runs, in order."""
+    taken = []
+    for name in ROUTES:
+        def spy(*args, _inner=getattr(divisor, name), _name=name):
+            taken.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(divisor, name, spy)
+    return taken
+
+
+def _seeded_set(seed, size, bound):
+    rng = np.random.default_rng(seed)
+    return [int(v) for v in rng.choice(2 * bound + 1, size=size, replace=False) - bound]
+
+
+@pytest.mark.parametrize(
+    "route, vals",
+    [
+        # narrow span, many distinct products
+        pytest.param("_dense_correlation", _seeded_set(1, 30, 40), id="dense-30-in-40"),
+        pytest.param("_dense_correlation", list(range(1, 25)), id="dense-1-to-24"),
+        # wide span, every product below 2^62
+        pytest.param("_sorted_pair_sums", [-7, -2, 1, 3, 4, 9, 12], id="int64-7-small"),
+        pytest.param("_sorted_pair_sums", _seeded_set(2, 25, 10**6), id="int64-25-in-1e6"),
+        pytest.param("_sorted_pair_sums", _seeded_set(3, 12, 2 * 10**9), id="int64-12-in-2e9"),
+        # products past 2^62
+        pytest.param("_fingerprint_pair_sums", [3 * 2**k for k in range(32)], id="fp-3x2k"),
+        # many equal differences: shared buckets whose exact differences agree
+        pytest.param("_fingerprint_pair_sums", [2**70 * i for i in range(1, 20)], id="fp-ap"),
+        pytest.param(
+            "_fingerprint_pair_sums",
+            [v * 2**40 + 1 for v in _seeded_set(4, 15, 10**6)],
+            id="fp-15-shifted",
+        ),
+    ],
+)
+def test_each_route_matches_naive(routes_taken, route, vals):
     assert lemma61_check(vals) == naive_correlation_stats(vals)
+    assert routes_taken == [route]
+
+
+def test_fingerprint_route_separates_forced_collisions(routes_taken):
+    # 2^61 - 30 = 1 + p for the fingerprint prime p = 2^61 - 31, so the
+    # products 1, 2^61 - 30 and (2^61 - 30)^2 differ pairwise by distinct
+    # multiples of p, all in one bucket; the larger sets mix such buckets
+    # with ordinary ones.
+    for vals in ([1, 2**61 - 30], [1, 2, 2**61 - 30, 2**61 - 29], [-1, 1, 2**61 - 30]):
+        assert lemma61_check(vals) == naive_correlation_stats(vals)
+    assert set(routes_taken) == {"_fingerprint_pair_sums"}
 
 
 def test_argsort_route_matches_naive():
-    # 55 well-spread large values: ~1500 distinct products, which lands
-    # between the dict threshold (support^2 <= 2e6) and the sorting cap.
+    # 55 well-spread large values: ~1500 distinct products over a span of
+    # ~2e12, sorted as exact int64 differences.
     rng = np.random.default_rng(123)
     vals = [int(v) for v in rng.choice(2_000_001, size=55, replace=False) - 1_000_000]
     got = lemma61_check(vals)
@@ -329,14 +398,35 @@ def test_argsort_route_matches_naive():
 
 
 def test_dense_route_consistency():
-    # range(1, 260): >5000 distinct products in a narrow band, so the
-    # big-integer squaring route runs; check it against r_set spot values.
+    # range(1, 260): >5000 distinct products in a narrow band, so the dense
+    # transform runs; check it against r_set spot values.
     vals = list(range(1, 260))
     got = lemma61_check(vals)
     assert got["r0"] == r_set(vals, 0)
     for h in (1, 2, 360, 10_000):
         assert got["sup_r"] >= r_set(vals, h)
     assert got["sup_r"] <= got["r0"]
+
+
+def test_broken_correlation_raises_invariant_violation(monkeypatch):
+    # A transform that loses mass at h = 1 breaks the mass identity; a
+    # closed-form r(0) that disagrees with the table breaks the centre one.
+    inner = divisor._dense_correlation
+
+    def broken(counts, width):
+        out = inner(counts, width)
+        out[len(counts)] -= 1
+        return out
+
+    monkeypatch.setattr(divisor, "_dense_correlation", broken)
+    with pytest.raises(InvariantViolation):
+        r_table(3)
+    with pytest.raises(InvariantViolation):
+        lemma61_check(list(range(1, 25)))
+    monkeypatch.undo()
+    monkeypatch.setattr(divisor, "r_zero", lambda n, budget=None: 1)
+    with pytest.raises(InvariantViolation):
+        r_table(3)
 
 
 def test_rational_sets_are_scaled_exactly():

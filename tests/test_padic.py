@@ -104,6 +104,23 @@ def test_class_counts_match_oracle_and_lift():
         assert brute.total() == fast.total()
 
 
+def test_primality_checked_once_per_call(monkeypatch):
+    import commucount.padic as padic
+
+    calls = []
+
+    def counting_is_prime(p):
+        calls.append(p)
+        return padic_is_prime(p)
+
+    padic_is_prime = padic.is_prime
+    monkeypatch.setattr(padic, "is_prime", counting_is_prime)
+    for call in (fast_padic_count, valuation_classes_fast):
+        calls.clear()
+        call(PadicParams(9973, 4))
+        assert calls == [9973]
+
+
 def test_classes_at_2_3_by_value():
     brute = brute_valuation_classes(2, 3)
     assert brute.classes == {0: 5376, 1: 1344, 2: 63, 3: 1}

@@ -14,6 +14,7 @@ from commucount.verify import (
     CriterionResult,
     _padic_gate,
     _random_test_sets,
+    criterion_classification,
     run_suite,
 )
 
@@ -55,6 +56,22 @@ def test_random_test_sets_cover_all_three_value_scales():
     assert any(b > 10**6 for b in biggest)
     # all sets are duplicate-free (sampling without replacement)
     assert all(len(set(s)) == len(s) for s in sets)
+
+
+def test_classification_criterion_reports_a_broken_system_row(monkeypatch):
+    import commucount.rank3 as rank3
+
+    inner = rank3._pair_systems
+
+    def broken(a_flat, bs):
+        m, x, y = inner(a_flat, bs)
+        y[:, 0] += 1
+        return m, x, y
+
+    monkeypatch.setattr(rank3, "_pair_systems", broken)
+    res = criterion_classification(ns=(0,), threads=1)
+    assert not res.passed
+    assert "M X = Y" in res.details["error"]
 
 
 def fake_suite(results):
