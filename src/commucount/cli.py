@@ -9,7 +9,7 @@ version); a hit replays the stored result verbatim.
 
 Exit codes: 0 success, 1 failed verification criterion, 2 usage error,
 3 work-budget refusal, 4 internal invariant violated (a defect, not bad
-input).
+input), 130 interrupted (Ctrl-C; worker processes are terminated).
 """
 
 from __future__ import annotations
@@ -452,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

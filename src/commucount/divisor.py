@@ -31,7 +31,7 @@ from .core import (
     product_distribution,
     totient_power_sums,
 )
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import InvariantViolation
 from .oracle import WorkBudget
 
 SetLike = Union["FiniteRealSet", Iterable[Union[int, Fraction]]]
@@ -75,7 +75,9 @@ def _autocorrelation(
 
     Every r(h) is at most r(0) = sum c^2 (Cauchy-Schwarz), which must equal
     `center`, and the r(h) sum to (sum c)^2; a result that breaks either
-    identity raises InvariantViolation."""
+    identity raises InvariantViolation.  Values too many and too spread
+    for both fixed memory caps, the transform's span and the sort's pairs,
+    raise ValueError: no budget lifts those caps."""
     budget = budget or WorkBudget()
     values = sorted(products)
     weights = np.array([products[m] for m in values], dtype=np.int64)
@@ -97,7 +99,11 @@ def _autocorrelation(
             corr = corr[corr != 0]
     else:
         if s * (s - 1) // 2 > _MAX_SORT_PAIRS:
-            raise BudgetExceeded(s * (s - 1) // 2, _MAX_SORT_PAIRS, "product-correlation pairs")
+            raise ValueError(
+                f"{s} distinct products spanning {span} are past both fixed memory "
+                f"caps of the exact correlation, a dense span of {_MAX_DENSE_SPAN} "
+                f"and {_MAX_SORT_PAIRS} sorted pairs; no budget lifts them"
+            )
         budget.require(s * s, "product-correlation pair work")
         if s == 1:
             half = np.zeros(0, dtype=np.int64)
@@ -526,7 +532,7 @@ def lemma61_check(aset: SetLike, budget: WorkBudget | None = None) -> dict[str, 
     dominates, sup_r == r0, is deliberately *not* enforced here — that is
     the property the callers test.)  The correlation comes from
     _autocorrelation, which picks its route from the products' span and
-    count; a set too large for every route refuses."""
+    count; a set past the memory caps of every route raises ValueError."""
     aset = FiniteRealSet.from_values(aset)
     if len(aset) > 500:
         raise ValueError("lemma61_check supports sets of at most 500 elements")

@@ -15,6 +15,7 @@ candidate B is still explicitly generated and every match explicitly counted.
 from __future__ import annotations
 
 import os
+import signal
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -124,10 +125,34 @@ def _coef_tensor() -> np.ndarray:
     return coef
 
 
+# Keys per half-tabulation block: each of the join's int64 arrays over a
+# block stays near 8 MB.
+_BLOCK_KEYS = 2**20
+
+
+def a_rows(n: int, ids: np.ndarray) -> np.ndarray:
+    """The A matrices (flattened rows) with the given ids in the
+    lexicographic enumeration of the box [-n, n]^9."""
+    side = 2 * n + 1
+    pows = side ** np.arange(8, -1, -1, dtype=np.int64)
+    return (np.asarray(ids, dtype=np.int64)[:, None] // pows) % side - n
+
+
 class MeetInMiddle3:
-    """Per-A solver for 3x3: the 8 commutator entries are linear in B, so
-    split B's nine entries 5|4, tabulate both halves, and join on the packed
-    8-dimensional value vector.  Exact: every B in the box is generated."""
+    """Solver for 3x3, a block of A at a time: the 8 commutator entries are
+    linear in B, so split B's nine entries 5|4, tabulate both halves, and
+    join on the packed 8-dimensional value vector.  Exact: every B in the
+    box is generated for every A.
+
+    The packing is linear too: half 1's packed keys for A are
+    h1 @ (G a)[:5] + const and half 2's are -h2 @ (G a)[5:] + const, with G
+    a fixed 9x9 matrix, so one matmul builds both halves' keys for a whole
+    block of A.  Row r of a block is shifted by r * base^8, so no two rows
+    share a key, and every key is doubled, plus 1 on half 2, so that
+    sorting a row puts each half-1 run of a value right before its half-2
+    run; one sort and one pass over the block then find every match.
+    `max_rows` keeps the keys below 2^63 and a block near _BLOCK_KEYS
+    keys."""
 
     def __init__(self, n: int):
         if n < 0:
@@ -136,52 +161,80 @@ class MeetInMiddle3:
         self.side = 2 * n + 1
         self.h1 = grid_tuples(n, 5)
         self.h2 = grid_tuples(n, 4)
-        self.coefm = _coef_tensor().reshape(72, 9)
         # Each half contributes at most 6n^2 in absolute value per equation.
         off = 6 * n * n
         base = 2 * off + 1
         if base**8 >= 2**63:
             raise ValueError(f"n={n} overflows the int64 key packing")
-        self.off = off
-        self.pows = base ** np.arange(8, dtype=np.int64)
+        pows = base ** np.arange(8, dtype=np.int64)
+        # gmat[col, a] = sum_e pows[e] * (coefficient of a_flat[a] in the
+        # col-th B-variable's coefficient within commutator entry e).
+        gmat = np.einsum("e,eca->ca", pows, _coef_tensor())
+        halves = [gmat[:5].T @ self.h1.T, -(gmat[5:].T @ self.h2.T)]
+        self.kmat = 2 * np.concatenate(halves, axis=1)
+        self.kconst = 2 * off * int(pows.sum()) + np.repeat([0, 1], [len(self.h1), len(self.h2)])
+        self.key_span = 2 * base**8
+        self.max_rows = max(1, min(2**63 // self.key_span, _BLOCK_KEYS // self.kmat.shape[1]))
 
-    def _packed_halves(self, a_flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        L = (self.coefm @ a_flat).reshape(8, 9)
-        k1 = self.h1 @ L[:, :5].T
-        k2 = -(self.h2 @ L[:, 5:].T)
-        return (k1 + self.off) @ self.pows, (k2 + self.off) @ self.pows
+    def _sorted_keys(self, a_block: np.ndarray, order: bool = False):
+        """The block's keys, each row sorted, flattened; with `order`, also
+        each row's sorting permutation."""
+        if len(a_block) > self.max_rows:
+            raise ValueError(f"a block holds at most {self.max_rows} rows")
+        shift = np.arange(len(a_block), dtype=np.int64)[:, None] * self.key_span
+        keys = a_block @ self.kmat + (self.kconst + shift)
+        if not order:
+            keys.sort(axis=1)
+            return keys.ravel(), None
+        perm = np.argsort(keys, axis=1)
+        return np.take_along_axis(keys, perm, axis=1).ravel(), perm.ravel()
+
+    @staticmethod
+    def _shared_runs(keys: np.ndarray):
+        """For sorted keys: the last half-1 position of every value that
+        both halves hold, and the start and end of that value's run."""
+        last1 = np.flatnonzero((np.diff(keys) == 1) & ((keys[1:] & 1) == 1))
+        return (
+            last1,
+            np.searchsorted(keys, keys[last1], "left"),
+            np.searchsorted(keys, keys[last1 + 1], "right"),
+        )
+
+    def count_block(self, a_block: np.ndarray) -> np.ndarray:
+        """Commuting-partner count of every A in a block of at most
+        `max_rows` rows."""
+        keys, _ = self._sorted_keys(a_block)
+        last1, start, end = self._shared_runs(keys)
+        pairs = (last1 + 1 - start) * (end - last1 - 1)
+        rows = keys[last1] // self.key_span
+        # float64 weights are exact: a row's count is at most (2n+1)^9 < 2^53.
+        return np.bincount(rows, weights=pairs, minlength=len(a_block)).astype(np.int64)
+
+    def partner_pairs(self, a_block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every commuting pair of a block of at most `max_rows` A, as index
+        arrays (row, i1, i2): A = a_block[row], B = (h1[i1], h2[i2])."""
+        keys, perm = self._sorted_keys(a_block, order=True)
+        last1, start, end = self._shared_runs(keys)
+        n1, n2 = last1 + 1 - start, end - last1 - 1
+        sizes = n1 * n2
+        total = int(sizes.sum())
+        k = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        width = np.repeat(n2, sizes)
+        pos1 = np.repeat(start, sizes) + k // width
+        pos2 = np.repeat(last1 + 1, sizes) + k % width
+        return pos1 // self.kmat.shape[1], perm[pos1], perm[pos2] - len(self.h1)
 
     def count_for_a(self, a_flat: np.ndarray) -> int:
-        p1, p2 = self._packed_halves(a_flat)
-        p2 = np.sort(p2)
-        lo = np.searchsorted(p2, p1, "left")
-        hi = np.searchsorted(p2, p1, "right")
-        return int((hi - lo).sum())
+        return int(self.count_block(a_flat[None, :])[0])
 
     def partners_for_a(self, a_flat: np.ndarray) -> np.ndarray:
         """All B (flattened rows) in the box commuting with A."""
-        p1, p2 = self._packed_halves(a_flat)
-        order = np.argsort(p2, kind="stable")
-        s2 = p2[order]
-        lo = np.searchsorted(s2, p1, "left")
-        hi = np.searchsorted(s2, p1, "right")
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if total == 0:
-            return np.empty((0, 9), dtype=np.int64)
-        nz = np.flatnonzero(cnt)
-        reps = cnt[nz]
-        h1_idx = np.repeat(nz, reps)
-        group_start = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        offsets = np.arange(total) - np.repeat(group_start, reps)
-        h2_idx = order[np.repeat(lo[nz], reps) + offsets]
-        return np.concatenate([self.h1[h1_idx], self.h2[h2_idx]], axis=1)
+        _, i1, i2 = self.partner_pairs(a_flat[None, :])
+        return np.concatenate([self.h1[i1], self.h2[i2]], axis=1)
 
     def a_batch(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 of the lexicographic A enumeration, decoded."""
-        ids = np.arange(lo, hi, dtype=np.int64)
-        pows = self.side ** np.arange(8, -1, -1, dtype=np.int64)
-        return (ids[:, None] // pows) % self.side - self.n
+        return a_rows(self.n, np.arange(lo, hi, dtype=np.int64))
 
 
 def states_3x3(n: int) -> int:
@@ -191,25 +244,54 @@ def states_3x3(n: int) -> int:
     return side**9 * (side**5 + side**4)
 
 
+class _WorkerInterrupted(Exception):
+    """A KeyboardInterrupt inside a pool worker, carried back to the parent
+    as an ordinary exception (the pool loses BaseExceptions)."""
+
+
+def _ignore_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_part(fn, args):
+    try:
+        return fn(*args)
+    except KeyboardInterrupt:
+        raise _WorkerInterrupted() from None
+
+
+def _parallel_over_a(fn, n: int, n_items: int, threads: int | None, *args):
+    """Sum of fn(n, lo, hi, *args) over a split of range(n_items) into one
+    contiguous part per worker process (in this process when one worker
+    suffices).
+
+    Workers ignore SIGINT, so Ctrl-C interrupts only this process; the
+    KeyboardInterrupt leaves the pool's context, which terminates the
+    workers.  A KeyboardInterrupt raised inside a worker is re-raised here
+    the same way, after the pool is terminated."""
+    workers = min(resolve_threads(threads), n_items)
+    if workers <= 1:
+        return fn(n, 0, n_items, *args)
+    bounds = np.linspace(0, n_items, workers + 1, dtype=np.int64)
+    tasks = [(fn, (n, int(bounds[i]), int(bounds[i + 1]), *args)) for i in range(workers)]
+    with get_context("fork").Pool(workers, initializer=_ignore_sigint) as pool:
+        try:
+            return sum(pool.starmap(_run_part, tasks))
+        except _WorkerInterrupted:
+            raise KeyboardInterrupt from None
+
+
 def _count3_range(n: int, lo: int, hi: int) -> int:
     mim = MeetInMiddle3(n)
     total = 0
-    for block in range(lo, hi, 65536):
-        for a_flat in mim.a_batch(block, min(block + 65536, hi)):
-            total += mim.count_for_a(a_flat)
+    for block in range(lo, hi, mim.max_rows):
+        total += int(mim.count_block(mim.a_batch(block, min(block + mim.max_rows, hi))).sum())
     return total
 
 
 def _brute_3x3(n: int, budget: WorkBudget, threads: int | None) -> int:
     budget.require(states_3x3(n), "3x3 commuting-pair enumeration")
-    n_a = (2 * n + 1) ** 9
-    workers = min(resolve_threads(threads), n_a)
-    if workers <= 1:
-        return _count3_range(n, 0, n_a)
-    bounds = np.linspace(0, n_a, workers + 1, dtype=np.int64)
-    args = [(n, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
-    with get_context("fork").Pool(workers) as pool:
-        return sum(pool.starmap(_count3_range, args))
+    return _parallel_over_a(_count3_range, n, (2 * n + 1) ** 9, threads)
 
 
 def brute_commuting_count(

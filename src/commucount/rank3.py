@@ -15,12 +15,30 @@ convention under which rows 1-4 of M X - Y reproduce the (1,2), (2,1),
 (1,3), (3,1) commutator entries and rows 5-6 their (3,2), (2,3) negatives.
 Partitioning commuting pairs by rank(M) in 0..4 is exact and is where the
 even/odd structure of the counting problem lives.
+
+The classification enumerates one A per orbit of a group of order 96: the
+24 distinct conjugations A -> P A P^-1 by signed permutation matrices P
+(P and -P act alike), each optionally followed by transposition and by
+A -> -A.  Letting the same conjugation and transposition act on B (and
+leaving B alone under negation) maps the box of B onto itself and the B
+commuting with A onto the B commuting with g.A.  rank(M) is kept too: M X
+is the part of AB - BA that depends on the diagonals, the linear map
+(D, E) -> [D, B_o] + [A_o, E] from pairs of diagonal matrices, modulo
+scalars, to off-diagonal matrices, where A_o and B_o are the off-diagonal
+parts.  Conjugation by P carries diagonal and off-diagonal matrices to
+their own kinds and the map for the conjugated pair is the conjugate of
+this one; transposition turns the map into (D, E) -> -(its value)^T; and
+A -> -A turns it into (D, E) -> (its value at (D, -E)).  Each is the map
+composed with invertible maps on both sides, so its rank, and with it the
+histogram of rank(M) over the partners of A, is the same for every A in
+an orbit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -30,7 +48,7 @@ from .errors import (
     InvariantViolation,
     UnsupportedDimension,
 )
-from .oracle import MeetInMiddle3, WorkBudget, resolve_threads, states_3x3
+from .oracle import MeetInMiddle3, WorkBudget, _parallel_over_a, a_rows
 
 IntMatrix = list[list[int]]
 
@@ -166,35 +184,61 @@ def _flatten3(mat, name: str) -> list[int]:
     return [x for row in rows for x in row]
 
 
+def _pair_systems(a: np.ndarray, b: np.ndarray):
+    """M (k,6,4), X (k,4), Y (k,6) for k pairs, A = a[i] and B = b[i] given
+    as flattened rows, in the dtype of b."""
+    a1, a2, a3, a4, a5, a6, a7, a8, a9 = a.T
+    b1, b2, b3, b4, b5, b6, b7, b8, b9 = b.T
+    k = len(b)
+    m = np.zeros((k, 6, 4), dtype=b.dtype)
+    m[:, 0, 0] = -b2
+    m[:, 0, 1] = a2
+    m[:, 1, 0] = b4
+    m[:, 1, 1] = -a4
+    m[:, 2, 2] = -b3
+    m[:, 2, 3] = a3
+    m[:, 3, 2] = b7
+    m[:, 3, 3] = -a7
+    m[:, 4, 0] = b8
+    m[:, 4, 1] = -a8
+    m[:, 4, 2] = -b8
+    m[:, 4, 3] = a8
+    m[:, 5, 0] = -b6
+    m[:, 5, 1] = a6
+    m[:, 5, 2] = b6
+    m[:, 5, 3] = -a6
+    x = np.stack([a5 - a1, b5 - b1, a9 - a1, b9 - b1], axis=1)
+    y = np.stack(
+        [
+            a8 * b3 - a3 * b8,
+            a7 * b6 - a6 * b7,
+            a6 * b2 - a2 * b6,
+            a4 * b8 - a8 * b4,
+            a7 * b2 - a2 * b7,
+            a4 * b3 - a3 * b4,
+        ],
+        axis=1,
+    )
+    return m, x, y
+
+
 def build_system_3x3(a: IntMatrix, b: IntMatrix) -> CommutatorSystem:
     """Assemble M and Y for a 3x3 pair and rank M over the rationals.
 
     Row r of M X - Y equals, in order, the (1,2), (2,1), (1,3), (3,1)
     entries of AB - BA and the negated (3,2), (2,3) entries, with
     X = (a5-a1, b5-b1, a9-a1, b9-b1); so a pair commutes exactly when its
-    X solves the system and its diagonal-free cross products agree.
+    X solves the system and its diagonal-free cross products agree.  The
+    rows are those of the classification, _pair_systems on a one-pair
+    batch, in Python integers.
     """
-    fa = _flatten3(a, "A")
-    fb = _flatten3(b, "B")
-    _, a2, a3, a4, _, a6, a7, a8, _ = fa
-    _, b2, b3, b4, _, b6, b7, b8, _ = fb
-    m = (
-        (-b2, a2, 0, 0),
-        (b4, -a4, 0, 0),
-        (0, 0, -b3, a3),
-        (0, 0, b7, -a7),
-        (b8, -a8, -b8, a8),
-        (-b6, a6, b6, -a6),
+    fa = np.array([_flatten3(a, "A")], dtype=object)
+    fb = np.array([_flatten3(b, "B")], dtype=object)
+    m, _, y = _pair_systems(fa, fb)
+    m_rows = tuple(tuple(row) for row in m[0].tolist())
+    return CommutatorSystem(
+        m_matrix=m_rows, y_vector=tuple(y[0].tolist()), rank=matrix_rank_exact(m_rows)
     )
-    y = (
-        a8 * b3 - a3 * b8,
-        a7 * b6 - a6 * b7,
-        a6 * b2 - a2 * b6,
-        a4 * b8 - a8 * b4,
-        a7 * b2 - a2 * b7,
-        a4 * b3 - a3 * b4,
-    )
-    return CommutatorSystem(m_matrix=m, y_vector=y, rank=matrix_rank_exact(m))
 
 
 def check_offdiag_constraint(a: IntMatrix, b: IntMatrix) -> tuple[int, int, int]:
@@ -213,6 +257,78 @@ def check_offdiag_constraint(a: IntMatrix, b: IntMatrix) -> tuple[int, int, int]
     )
 
 
+# --- the symmetry group of the count ------------------------------------------
+
+
+@functools.cache
+def orbit_group() -> tuple[np.ndarray, np.ndarray]:
+    """The 96 maps A -> g.A of the group generated by conjugation with
+    signed permutation matrices, transposition and negation, as (src, sign),
+    two read-only (96, 9) arrays with (g.A)[k] = sign[g, k] * A[src[g, k]]
+    on row-major flattenings.  Built on first use."""
+    actions = set()
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            # (P A P^-1)[i, j] = s_i s_j A[perm[i], perm[j]], as (source, sign)
+            conj = [(3 * p + q, signs[i] * signs[j]) for i, p in enumerate(perm)
+                    for j, q in enumerate(perm)]
+            transposed = [conj[3 * j + i] for i in range(3) for j in range(3)]
+            for entries in (conj, transposed):
+                for neg in (1, -1):
+                    actions.add(tuple((k, neg * e) for k, e in entries))
+    table = np.array(sorted(actions), dtype=np.int64)
+    src, sign = table[:, :, 0], table[:, :, 1]
+    if len(src) != 96:
+        raise InvariantViolation(f"the orbit group has {len(src)} distinct actions, not 96")
+    src.flags.writeable = sign.flags.writeable = False
+    return src, sign
+
+
+# A rows per chunk of the canonicalization: a (rows, 96) int64 product.
+_CANON_ROWS = 2**15
+
+
+def _orbit_images(n: int, lo: int, hi: int) -> np.ndarray:
+    """id(g.A) for the A with lexicographic ids lo..hi-1 (rows) and every
+    g of orbit_group() (columns).  id(g.A) is linear in A, so this is one
+    (rows, 9) @ (9, 96) int64 product."""
+    src, sign = orbit_group()
+    place = (2 * n + 1) ** np.arange(8, -1, -1, dtype=np.int64)
+    weights = np.zeros((9, len(src)), dtype=np.int64)
+    weights[src, np.arange(len(src))[:, None]] = sign * place
+    return a_rows(n, np.arange(lo, hi)) @ weights + n * int(place.sum())
+
+
+def orbit_representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical A of every orbit of the box under orbit_group(), as
+    lexicographic ids (the smallest id in the orbit), and the orbit sizes.
+
+    The canonical A are exactly the A that are their own smallest image,
+    and each orbit's size must agree with orbit-stabilizer, 96 over the
+    number of g that fix its canonical A; the sizes sum to (2n+1)^9."""
+    n_a = (2 * n + 1) ** 9
+    canon = np.empty(n_a, dtype=np.int64)
+    fixed: list[np.ndarray] = []
+    stabilizers: list[np.ndarray] = []
+    for lo in range(0, n_a, _CANON_ROWS):
+        hi = min(lo + _CANON_ROWS, n_a)
+        images = _orbit_images(n, lo, hi)
+        canon[lo:hi] = images.min(axis=1)
+        own = np.arange(lo, hi)
+        mine = canon[lo:hi] == own
+        fixed.append(own[mine])
+        stabilizers.append((images[mine] == own[mine, None]).sum(axis=1))
+    reps, sizes = np.unique(canon, return_counts=True)
+    group_order = images.shape[1]
+    if (
+        not np.array_equal(np.concatenate(fixed), reps)
+        or (sizes * np.concatenate(stabilizers) != group_order).any()
+        or int(sizes.sum()) != n_a
+    ):
+        raise InvariantViolation("3x3 orbit sizes disagree with orbit-stabilizer")
+    return reps, sizes
+
+
 # --- rank classification over the whole box --------------------------------
 
 
@@ -227,86 +343,35 @@ class RankClassCounts:
         return sum(self.s)
 
 
-def _pair_systems(a_flat: np.ndarray, bs: np.ndarray):
-    """Vectorized M (k,6,4), X (k,4), Y (k,6) for one A against its partners."""
-    a2, a3, a4, a6, a7, a8 = (int(a_flat[i]) for i in (1, 2, 3, 5, 6, 7))
-    b2, b3, b4 = bs[:, 1], bs[:, 2], bs[:, 3]
-    b6, b7, b8 = bs[:, 5], bs[:, 6], bs[:, 7]
-    k = len(bs)
-    m = np.zeros((k, 6, 4), dtype=np.int64)
-    m[:, 0, 0] = -b2
-    m[:, 0, 1] = a2
-    m[:, 1, 0] = b4
-    m[:, 1, 1] = -a4
-    m[:, 2, 2] = -b3
-    m[:, 2, 3] = a3
-    m[:, 3, 2] = b7
-    m[:, 3, 3] = -a7
-    m[:, 4, 0] = b8
-    m[:, 4, 1] = -a8
-    m[:, 4, 2] = -b8
-    m[:, 4, 3] = a8
-    m[:, 5, 0] = -b6
-    m[:, 5, 1] = a6
-    m[:, 5, 2] = b6
-    m[:, 5, 3] = -a6
-    x = np.empty((k, 4), dtype=np.int64)
-    x[:, 0] = int(a_flat[4]) - int(a_flat[0])
-    x[:, 1] = bs[:, 4] - bs[:, 0]
-    x[:, 2] = int(a_flat[8]) - int(a_flat[0])
-    x[:, 3] = bs[:, 8] - bs[:, 0]
-    y = np.empty((k, 6), dtype=np.int64)
-    y[:, 0] = a8 * b3 - a3 * b8
-    y[:, 1] = a7 * b6 - a6 * b7
-    y[:, 2] = a6 * b2 - a2 * b6
-    y[:, 3] = a4 * b8 - a8 * b4
-    y[:, 4] = a7 * b2 - a2 * b7
-    y[:, 5] = a4 * b3 - a3 * b4
-    return m, x, y
+# Commuting pairs per batch of _pair_systems and batched_rank.
+_RANK_ROWS = 65536
 
 
-def _classify_range(n: int, lo: int, hi: int, check_system: bool) -> np.ndarray:
+def _classify_reps(
+    n: int, lo: int, hi: int, reps: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Rank classes of the pairs of representatives lo..hi-1, each pair
+    weighted by its A's orbit size."""
     mim = MeetInMiddle3(n)
     counts = np.zeros(5, dtype=np.int64)
-    pend_m: list[np.ndarray] = []
-    pend_x: list[np.ndarray] = []
-    pend_y: list[np.ndarray] = []
-    pending = 0
-
-    def flush() -> None:
-        nonlocal pending
-        if not pend_m:
-            return
-        m = np.concatenate(pend_m)
-        if check_system:
-            x = np.concatenate(pend_x)
-            y = np.concatenate(pend_y)
-            mx = np.einsum("krc,kc->kr", m, x)
-            if not np.array_equal(mx, y):
+    for block in range(lo, hi, mim.max_rows):
+        stop = min(block + mim.max_rows, hi)
+        a_block = a_rows(n, reps[block:stop])
+        row, i1, i2 = mim.partner_pairs(a_block)
+        hist = np.zeros(5 * len(a_block), dtype=np.int64)
+        for s in range(0, len(row), _RANK_ROWS):
+            r = row[s : s + _RANK_ROWS]
+            bs = np.concatenate(
+                [mim.h1[i1[s : s + _RANK_ROWS]], mim.h2[i2[s : s + _RANK_ROWS]]], axis=1
+            )
+            m, x, y = _pair_systems(a_block[r], bs)
+            if not np.array_equal(np.einsum("krc,kc->kr", m, x), y):
                 raise InvariantViolation(
                     "a commuting pair violated M X = Y; the hard-coded system "
                     "rows disagree with the commutator"
                 )
-        counts[:] += np.bincount(batched_rank(m), minlength=5)
-        pend_m.clear()
-        pend_x.clear()
-        pend_y.clear()
-        pending = 0
-
-    for block in range(lo, hi, 65536):
-        for a_flat in mim.a_batch(block, min(block + 65536, hi)):
-            bs = mim.partners_for_a(a_flat)
-            if not len(bs):
-                continue
-            m, x, y = _pair_systems(a_flat, bs)
-            pend_m.append(m)
-            if check_system:
-                pend_x.append(x)
-                pend_y.append(y)
-            pending += len(bs)
-            if pending >= 65536:
-                flush()
-    flush()
+            hist += np.bincount(5 * r + batched_rank(m), minlength=len(hist))
+        counts += sizes[block:stop] @ hist.reshape(-1, 5)
     return counts
 
 
@@ -314,33 +379,28 @@ def classify_commuting_3x3(
     n: int,
     budget: WorkBudget | None = None,
     threads: int | None = None,
-    check_system: bool = True,
 ) -> RankClassCounts:
     """Partition every commuting 3x3 pair in the box by the rank of its M.
 
-    Enumerates via the meet-in-the-middle oracle (same state count, so the
-    same budget gate), builds each pair's system, and ranks it exactly.
-    With check_system=True every pair is additionally required to satisfy
-    M X = Y before being counted.  The class totals sum to the oracle's
-    commuting-pair count; rank 0 is exactly the both-diagonal pairs,
-    (2n+1)^6 of them.
+    The group of orbit_group() maps the box of B onto itself and keeps
+    both the set of B commuting with A and rank(M), so only the canonical
+    A of each orbit is enumerated, through the meet-in-the-middle oracle,
+    and its pairs are weighted by the orbit size.  Every enumerated pair
+    must satisfy M X = Y before its system is ranked exactly.  The class
+    totals sum to the oracle's commuting-pair count; rank 0 is exactly the
+    both-diagonal pairs, (2n+1)^6 of them.
+
+    The budget is charged 96 (2n+1)^9 states for the canonicalization, then
+    (2n+1)^5 + (2n+1)^4 per representative for the half tabulations.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     budget = budget or WorkBudget()
-    budget.require(states_3x3(n), "3x3 rank classification")
-    n_a = (2 * n + 1) ** 9
-    workers = min(resolve_threads(threads), n_a)
-    if workers <= 1:
-        counts = _classify_range(n, 0, n_a, check_system)
-    else:
-        bounds = np.linspace(0, n_a, workers + 1, dtype=np.int64)
-        args = [
-            (n, int(bounds[i]), int(bounds[i + 1]), check_system)
-            for i in range(workers)
-        ]
-        with get_context("fork").Pool(workers) as pool:
-            counts = sum(pool.starmap(_classify_range, args))
+    side = 2 * n + 1
+    budget.require(len(orbit_group()[0]) * side**9, "3x3 orbit canonicalization")
+    reps, sizes = orbit_representatives(n)
+    budget.require(len(reps) * (side**5 + side**4), "3x3 rank classification")
+    counts = _parallel_over_a(_classify_reps, n, len(reps), threads, reps, sizes)
     return RankClassCounts(n=n, s=tuple(int(c) for c in counts))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .core import dependent_pair_constant, is_prime, zeta_value
 from .count2 import count_commuting_2x2, gamma_split, normalized_count_2x2
 from .divisor import lemma61_check, moment, partial_sum_float, r_table, r_zero
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import InvariantViolation
 from .oracle import (
     WorkBudget,
     brute_commuting_count,
@@ -243,13 +243,13 @@ def criterion_classification(
 ) -> CriterionResult:
     """Rank classes partition the 3x3 commuting pairs: totals equal the
     oracle count, the rank-0 class is exactly the diagonal pairs, and every
-    pair passes the M X = Y check while being classified."""
+    enumerated pair passes the M X = Y check while being classified."""
     budget = budget or WorkBudget()
     ok = True
     details: dict = {"classes": {}}
     try:
         for n in ns:
-            rc = classify_commuting_3x3(n, budget, threads, check_system=True)
+            rc = classify_commuting_3x3(n, budget, threads)
             total = brute_commuting_count(3, n, budget, threads)
             details["classes"][str(n)] = list(rc.s)
             details[f"total_{n}"] = total

@@ -7,8 +7,9 @@ Runtime is dominated by the p-adic oracle sweep (criterion 6, every modulus
 with p^6n <= 10^9) and the size-500 progression correlations (criterion 11);
 the whole battery is a couple of minutes single-core.  Criterion 9 repeats
 the 3x3 classification at N = 2 only when COMMUCOUNT_ACCEPT_FULL=1 is set:
-that single point enumerates 5^9 * (5^5 + 5^4) ~ 7.3e9 states and takes the
-better part of an hour on one core.
+that point classifies 22369 orbit representatives (~25 s on one core) and
+checks their total against the oracle, which enumerates
+5^9 * (5^5 + 5^4) ~ 7.3e9 states (~5 min on one core).
 """
 
 import os
@@ -94,7 +95,8 @@ def test_criterion_08_valuation_lifting():
 
 def test_criterion_09_rank_classification():
     # rank classes partition the commuting count with S0 = (2N+1)^6 and every
-    # pair passing M X = Y; N = 1 always, N = 2 under COMMUCOUNT_ACCEPT_FULL=1
+    # enumerated pair passing M X = Y; N = 1 always, N = 2 under
+    # COMMUCOUNT_ACCEPT_FULL=1
     ns = (1, 2) if FULL else (1,)
     res = check(criterion_classification(ns=ns))
     assert res.details["classes"]["1"] == [729, 19872, 194016, 116352, 44448]

@@ -6,11 +6,13 @@ cli.main() with the cache redirected into a temp directory.
 import csv
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import commucount
@@ -180,6 +182,35 @@ def test_doubling_with_lemma61(capsys, tmp_path):
     assert res["diagnostics"]["sup_autocorrelation"] == res["diagnostics"][
         "autocorrelation_at_zero"
     ]
+
+
+def test_lemma61_past_the_memory_caps_exits_2(capsys, tmp_path):
+    # No --budget lifts the correlation's fixed memory caps, so this is a
+    # usage error naming the caps, not a budget refusal.
+    rng = np.random.default_rng(5)
+    vals = rng.choice(2_000_000_001, 250, replace=False) - 10**9
+    setfile = tmp_path / "wide.txt"
+    setfile.write_text("".join(f"{v}\n" for v in vals))
+    code, out, err = run_cli(capsys, "doubling", "--set-file", str(setfile), "--lemma61")
+    assert code == 2
+    assert out == ""
+    assert "memory caps" in err and "raise the budget" not in err
+
+
+def _interrupted_count(n, lo, hi):
+    raise KeyboardInterrupt
+
+
+def test_interrupt_inside_the_pool_exits_130(capsys, monkeypatch, time_limit):
+    import commucount.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_count3_range", _interrupted_count)
+    with time_limit(60):
+        code, out, err = run_cli(capsys, "count3", "--n", "1", "--threads", "2", "--no-cache")
+    assert code == 130
+    assert out == ""
+    assert err.splitlines() == ["interrupted"]
+    assert multiprocessing.active_children() == []
 
 
 def test_lowerbound(capsys):

@@ -440,11 +440,19 @@ def test_rational_sets_are_scaled_exactly():
 def test_lemma61_budget_refusals():
     with pytest.raises(BudgetExceeded):
         lemma61_check([1, 2, 3], WorkBudget(1))
-    # Large support, huge spread: every exact route is out of reach.
+
+
+def test_lemma61_memory_caps_raise_value_error():
+    # Large support, huge spread: every exact route is past its fixed
+    # memory cap, which no budget lifts, so the refusal names the caps.
     rng = np.random.default_rng(5)
     vals = [int(v) for v in rng.choice(2_000_000_001, 250, replace=False) - 10**9]
-    with pytest.raises(BudgetExceeded):
-        lemma61_check(vals)
+    for budget in (None, WorkBudget(10**30)):
+        with pytest.raises(ValueError, match="memory caps") as exc:
+            lemma61_check(vals, budget)
+        assert not isinstance(exc.value, BudgetExceeded)
+        assert f"{divisor._MAX_SORT_PAIRS} sorted pairs" in str(exc.value)
+        assert f"dense span of {divisor._MAX_DENSE_SPAN}" in str(exc.value)
 
 
 def test_geometric_progressions_peak_at_zero():

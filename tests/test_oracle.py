@@ -3,12 +3,17 @@ them to an even simpler standard: tiny pure-Python re-enumerations, internal
 identities, and honest budget refusals.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from commucount.errors import BudgetExceeded, NotPrime, UnsupportedDimension
 from commucount.oracle import (
+    _BLOCK_KEYS,
     MeetInMiddle3,
+    _count3_range,
+    _parallel_over_a,
     WorkBudget,
     brute_commuting_count,
     brute_degenerate_padic,
@@ -107,6 +112,91 @@ def test_meet_in_middle_partners_match_direct_scan():
         partners = {tuple(row.tolist()) for row in mim.partners_for_a(a_flat)}
         assert partners == direct
         assert mim.count_for_a(a_flat) == len(direct)
+
+
+def commuting_counts_by_scan(a_flats):
+    """For each A, the number of B in the N = 1 box with AB == BA, by a
+    literal vectorized scan over all 3^9 B."""
+    bs = grid_tuples(1, 9).reshape(-1, 3, 3)
+    out = []
+    for a_flat in a_flats:
+        a = a_flat.reshape(3, 3)
+        commutes = np.einsum("ij,bjk->bik", a, bs) == np.einsum("bij,jk->bik", bs, a)
+        out.append(int(commutes.all(axis=(1, 2)).sum()))
+    return out
+
+
+@pytest.mark.parametrize("n, lo, rows", [(1, 0, 40), (1, 9000, 300), (2, 123456, 600)])
+def test_block_join_matches_per_a_counts(n, lo, rows):
+    mim = MeetInMiddle3(n)
+    if n == 2:
+        assert mim.max_rows < rows  # the range spans more than one block
+    a = mim.a_batch(lo, lo + rows)
+    per_a = [mim.count_for_a(a_flat) for a_flat in a]
+    blocks = np.concatenate(
+        [mim.count_block(a[s : s + mim.max_rows]) for s in range(0, rows, mim.max_rows)]
+    )
+    assert blocks.tolist() == per_a
+    assert _count3_range(n, lo, lo + rows) == sum(per_a)
+    if n == 1:
+        assert per_a[::10] == commuting_counts_by_scan(a[::10])
+
+
+def test_block_cut_short_by_the_key_shift_limit():
+    """At N = 4 a row of keys spans 2 * 193^8, so only two rows fit below
+    2^63, far fewer than the block size that memory would allow."""
+    mim = MeetInMiddle3(4)
+    width = len(mim.h1) + len(mim.h2)
+    assert mim.max_rows == 2**63 // mim.key_span == 2
+    assert mim.max_rows < _BLOCK_KEYS // width
+    assert mim.max_rows * mim.key_span <= 2**63
+    rng = np.random.default_rng(19)
+    lo = int(rng.integers(0, 9**9 - 5))
+    a = mim.a_batch(lo, lo + 5)
+    a[1] = 0  # the zero matrix commutes with all 9^9 B
+    per_a = [mim.count_for_a(a_flat) for a_flat in a]
+    assert per_a[1] == 9**9
+    blocks = [mim.count_block(a[s : s + 2]) for s in range(0, 5, 2)]
+    assert np.concatenate(blocks).tolist() == per_a
+    row, i1, i2 = mim.partner_pairs(a[2:4])
+    for r in (0, 1):
+        bs = np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1)[row == r]
+        got = {tuple(b) for b in bs.tolist()}
+        assert got == {tuple(b) for b in mim.partners_for_a(a[2 + r]).tolist()}
+    with pytest.raises(ValueError):
+        mim.count_block(a[:3])
+
+
+def test_partner_pairs_of_a_block_match_per_a_partners():
+    mim = MeetInMiddle3(1)
+    a = mim.a_batch(5000, 5400)
+    row, i1, i2 = mim.partner_pairs(a)
+    bs = np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1)
+    for r in range(0, 400, 13):
+        want = {tuple(b) for b in mim.partners_for_a(a[r]).tolist()}
+        assert {tuple(b) for b in bs[row == r].tolist()} == want
+    assert np.bincount(row, minlength=400).tolist() == mim.count_block(a).tolist()
+
+
+def _sum_range(n, lo, hi, offset):
+    return sum(range(lo, hi)) + offset
+
+
+def _interrupted_range(n, lo, hi):
+    if lo > 0:
+        raise KeyboardInterrupt
+    return 0
+
+
+def test_parallel_over_a_sums_the_parts():
+    assert _parallel_over_a(_sum_range, 0, 100, 3, 1) == sum(range(100)) + 3
+    assert _parallel_over_a(_sum_range, 0, 100, 1, 1) == sum(range(100)) + 1
+
+
+def test_interrupt_in_a_worker_terminates_the_pool(time_limit):
+    with time_limit(60), pytest.raises(KeyboardInterrupt):
+        _parallel_over_a(_interrupted_range, 0, 10, 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_meet_in_middle_rejects_overflowing_n():

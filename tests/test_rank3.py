@@ -3,13 +3,22 @@ the rank classification of the commuting box, lower-bound certificates, and
 the 4x4 infeasibility demonstration.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commucount.errors import DimensionMismatch, IndexOutOfRange, UnsupportedDimension
-from commucount.oracle import WorkBudget, brute_commuting_count
+from commucount.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvariantViolation,
+    UnsupportedDimension,
+)
+from commucount.oracle import MeetInMiddle3, WorkBudget, brute_commuting_count
 from commucount.rank3 import (
+    _pair_systems,
     batched_rank,
     build_system_3x3,
     check_offdiag_constraint,
@@ -20,8 +29,9 @@ from commucount.rank3 import (
     lower_bound_E,
     lower_bound_certificate,
     matrix_rank_exact,
+    orbit_group,
+    orbit_representatives,
 )
-from commucount.errors import BudgetExceeded
 
 
 def random_pair(rng, lo=-5, hi=6):
@@ -150,6 +160,32 @@ def test_system_rows_reproduce_the_commutator():
             assert mx - sys_.y_vector[r] == signs[r] * c[i][j]
 
 
+def test_pair_systems_batch_reproduces_the_commutator():
+    """The batched rows the classification checks, X included, on one
+    int64 batch of arbitrary pairs; and the one-pair case in Python
+    integers stays exact far past int64."""
+    rng = np.random.default_rng(12)
+    a = rng.integers(-9, 10, (150, 9))
+    b = rng.integers(-9, 10, (150, 9))
+    m, x, y = _pair_systems(a, b)
+    order = [(0, 1), (1, 0), (0, 2), (2, 0), (2, 1), (1, 2)]
+    signs = np.array([1, 1, 1, 1, -1, -1])
+    for k in range(150):
+        am, bm = a[k].reshape(3, 3).tolist(), b[k].reshape(3, 3).tolist()
+        assert x[k].tolist() == x_vector(am, bm)
+        c = commutator(am, bm)
+        want = signs * np.array([c[i][j] for i, j in order])
+        assert (m[k] @ x[k] - y[k]).tolist() == want.tolist()
+    big = [[10**30, 3, -(10**25)], [7, -(10**30), 2], [10**28, 5, 1]]
+    other = [[1, 10**29, 4], [-(10**27), 2, 9], [3, -8, 10**30]]
+    sys_ = build_system_3x3(big, other)
+    c = commutator(big, other)
+    xb = x_vector(big, other)
+    for r, (i, j) in enumerate(order):
+        mx = sum(sys_.m_matrix[r][k] * xb[k] for k in range(4))
+        assert mx - sys_.y_vector[r] == (1 if r < 4 else -1) * c[i][j]
+
+
 def test_system_rank_matches_reference():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -207,10 +243,123 @@ def test_classification_budget_gate():
         classify_commuting_3x3(-1)
 
 
-def test_classification_without_system_check_matches():
-    a = classify_commuting_3x3(1, check_system=True)
-    b = classify_commuting_3x3(1, check_system=False)
-    assert a == b
+def test_classification_charge_covers_the_states_visited(monkeypatch):
+    """The budget is charged, before each phase, at least the states the
+    phase visits: the 96 images of every A, then both half tabulations of
+    every canonical A; the oracle is charged states_3x3."""
+    import commucount.rank3 as rank3
+
+    charged, visited = [], []
+    real_require = WorkBudget.require
+    real_images = rank3._orbit_images
+    real_keys = MeetInMiddle3._sorted_keys
+
+    def require(self, states, what):
+        charged.append(states)
+        real_require(self, states, what)
+
+    def images(n, lo, hi):
+        out = real_images(n, lo, hi)
+        visited.append(out.size)
+        return out
+
+    def keys(self, a_block, order=False):
+        visited.append(len(a_block) * (len(self.h1) + len(self.h2)))
+        return real_keys(self, a_block, order)
+
+    monkeypatch.setattr(WorkBudget, "require", require)
+    monkeypatch.setattr(rank3, "_orbit_images", images)
+    monkeypatch.setattr(MeetInMiddle3, "_sorted_keys", keys)
+    for n in (0, 1):
+        for run in (
+            lambda: classify_commuting_3x3(n, threads=1),
+            lambda: brute_commuting_count(3, n, threads=1),
+        ):
+            charged.clear()
+            visited.clear()
+            run()
+            assert sum(visited) <= sum(charged) <= 2 * sum(visited)
+
+
+# --- the symmetry group ---------------------------------------------------------
+
+
+def act(g, a_flat):
+    src, sign = orbit_group()
+    return sign[g] * np.asarray(a_flat)[src[g]]
+
+
+def test_orbit_group_has_96_distinct_actions():
+    src, sign = orbit_group()
+    assert src.shape == sign.shape == (96, 9)
+    assert len({(tuple(s), tuple(e)) for s, e in zip(src, sign)}) == 96
+    assert all(sorted(s) == list(range(9)) for s in src.tolist())
+    # a group: it holds the identity and is closed under composition, and
+    # its maps differ on a generic matrix
+    generic = np.arange(1, 10)
+    images = {tuple(act(g, generic)) for g in range(96)}
+    assert len(images) == 96 and tuple(generic) in images
+    for g in range(0, 96, 7):
+        for h in range(96):
+            assert tuple(act(g, act(h, generic))) in images
+
+
+def test_orbit_group_is_conjugation_transpose_and_negation():
+    rng = np.random.default_rng(4)
+    a = rng.integers(-5, 6, (3, 3))
+    expected = set()
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            p = np.diag(signs) @ np.eye(3, dtype=np.int64)[list(perm)]
+            c = p @ a @ p.T  # p is orthogonal: p^-1 = p^T
+            for t in (c, c.T):
+                expected |= {tuple(t.ravel()), tuple(-t.ravel())}
+    assert {tuple(act(g, a.ravel())) for g in range(96)} == expected
+
+
+def rank_histogram(mim, a_flat):
+    bs = mim.partners_for_a(a_flat)
+    m, _, _ = _pair_systems(np.repeat(a_flat[None, :], len(bs), axis=0), bs)
+    return np.bincount(batched_rank(m), minlength=5).tolist()
+
+
+def test_group_keeps_counts_and_rank_histograms():
+    mim = MeetInMiddle3(1)
+    rng = np.random.default_rng(96)
+    sample = [mim.a_batch(int(i), int(i) + 1)[0] for i in rng.integers(0, 3**9, 5)]
+    sample += [np.array([1, 0, 0, 0, 0, 0, 0, 0, -1]), np.array([0, 1, 0, 0, 0, 1, 0, 0, 0])]
+    for a_flat in sample:
+        count = mim.count_for_a(a_flat)
+        hist = rank_histogram(mim, a_flat)
+        assert sum(hist) == count
+        for g in range(96):
+            b_flat = act(g, a_flat)
+            assert mim.count_for_a(b_flat) == count
+            assert rank_histogram(mim, b_flat) == hist
+
+
+def test_orbit_representatives_at_n1():
+    reps, sizes = orbit_representatives(1)
+    assert len(reps) == 322
+    assert int(sizes.sum()) == 3**9
+    assert orbit_representatives(0)[0].tolist() == [0]
+    # each representative is the smallest id of its orbit, and its orbit
+    # size is the number of distinct images, computed entry by entry
+    place = 3 ** np.arange(8, -1, -1)
+    grid = MeetInMiddle3(1).a_batch(0, 3**9)
+    for rep, size in zip(reps[::9], sizes[::9]):
+        ids = {int((act(g, grid[rep]) + 1) @ place) for g in range(96)}
+        assert min(ids) == rep
+        assert len(ids) == size
+
+
+def test_orbit_representatives_reject_a_broken_group(monkeypatch):
+    import commucount.rank3 as rank3
+
+    src, sign = orbit_group()
+    monkeypatch.setattr(rank3, "orbit_group", lambda: (src[:95], sign[:95]))
+    with pytest.raises(InvariantViolation):
+        orbit_representatives(1)
 
 
 # --- lower bounds -----------------------------------------------------------------
