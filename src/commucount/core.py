@@ -218,14 +218,6 @@ class PrimitiveDirection(NamedTuple):
     v: int
     m: int
 
-    @classmethod
-    def from_uv(cls, u: int, v: int) -> "PrimitiveDirection":
-        if math.gcd(u, v) != 1:
-            raise ValueError(f"({u}, {v}) is not primitive")
-        if not (u > 0 or (u, v) == (0, 1)):
-            raise ValueError(f"({u}, {v}) is not in canonical form")
-        return cls(u, v, max(abs(u), abs(v)))
-
 
 def primitive_directions(n: int) -> list[PrimitiveDirection]:
     """All canonical primitive directions with max(|u|, |v|) <= n, in a
@@ -250,18 +242,6 @@ def primitive_directions(n: int) -> list[PrimitiveDirection]:
                 dirs.append(PrimitiveDirection(j, m, m))
                 dirs.append(PrimitiveDirection(j, -m, m))
     return dirs
-
-
-def canonical_direction(x: int, y: int) -> PrimitiveDirection:
-    """The unique canonical primitive direction that (x, y) != (0, 0) is a
-    nonzero multiple of."""
-    if x == 0 and y == 0:
-        raise ValueError("(0, 0) has no direction")
-    g = math.gcd(x, y)
-    u, v = x // g, y // g
-    if u < 0 or (u == 0 and v < 0):
-        u, v = -u, -v
-    return PrimitiveDirection(u, v, max(abs(u), abs(v)))
 
 
 def product_distribution(n: int) -> dict[int, int]:
@@ -352,13 +332,6 @@ def dependent_pair_constant(digits: int = 40) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = digits
         return 16 / zeta_value(2, digits + 10)
-
-
-def totient_cubes_tail(digits: int = 40) -> Decimal:
-    """sum_{u >= 2} phi(u)/u^3 = zeta(2)/zeta(3) - 1 = 0.368432..."""
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return zeta_value(2, digits + 10) / zeta_value(3, digits + 10) - 1
 
 
 def pairwise_fraction_sum(values: Iterable[Fraction]) -> Fraction:

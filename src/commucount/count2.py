@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 from .core import (
     PrimitiveDirection,
-    main_term_constant_2x2,
     power_sum_work,
     primitive_directions,
     totient_power_sums,
@@ -74,16 +73,6 @@ def weighted_line_sum(n: int, p: PrimitiveDirection) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return _difference_weight(n, abs(p.u), abs(p.v))
-
-
-class DirectionWeights(NamedTuple):
-    direction: PrimitiveDirection
-    multiples: int  # n_p
-    pair_weight: int  # w_p
-
-
-def direction_weights(n: int, p: PrimitiveDirection) -> DirectionWeights:
-    return DirectionWeights(p, line_count(n, p), weighted_line_sum(n, p))
 
 
 class GammaSplit(NamedTuple):
@@ -164,15 +153,6 @@ def count_commuting_2x2_by_direction(n: int) -> int:
         w = weighted_line_sum(n, p)
         total += (2 * k + k * k) * (side * side + w)
     return total
-
-
-def asymptotic_main_term_2(n: int, digits: int = 40) -> Decimal:
-    """The leading-order prediction (10*zeta(2)/(3*zeta(3))) * (2n)^5."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return main_term_constant_2x2(digits) * (2 * n) ** 5
 
 
 def normalized_count_2x2(n: int, digits: int = 40, count: int | None = None) -> Decimal:

@@ -4,15 +4,15 @@ finite-set analogues (doubling constants, sup-vs-center correlation checks).
 The central object is r_N(h): over the grid [-N, N]^4, how many quadruples
 satisfy x1*x2 - x3*x4 = h.  That is the autocorrelation of the product
 distribution.  One exact primitive, _autocorrelation, computes it for the
-grid and for arbitrary finite rational sets, by one of three routes picked
+grid and for arbitrary finite rational sets, by one of two routes picked
 from its input: a dense transform (the counts written as decimal digit
 groups of one number, squared exactly by libmpdec against its reversal)
 when the product span is small next to the number of distinct products,
-else a sort of the pairwise product differences, in int64 or, for big
-integers, on fingerprints mod a prime with exact comparison inside every
-shared bucket.  No floating point anywhere; every route checks the centre
-and mass identities, and the test suite checks each against a naive
-double loop.
+else one sort of the pairwise product differences on their residues mod a
+prime.  Below the prime those residues are the exact differences; past it,
+pairs that share a residue are compared exactly.  No floating point
+anywhere; both routes check the centre and mass identities, and the test
+suite checks each against a naive double loop.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ SetLike = Union["FiniteRealSet", Iterable[Union[int, Fraction]]]
 # --- the exact correlation primitive ------------------------------------------
 
 # The dense transform costs about 0.5 us per unit of product span, the
-# int64 sort about 45 ns per pair of distinct products (s^2 / 2 pairs of
+# sort about 45 ns per pair of distinct products (s^2 / 2 pairs of
 # s values); the transform wins when span < 0.07 s^2 (measured on sets of
 # 10 to 80 elements with spans from 3e3 to 2e6).
 _DENSE_SPAN_PER_PAIR = 0.07
-# Memory caps: the transform holds about 100 bytes per unit of span, the
-# sort five int64 arrays over its pairs.
+# Memory caps: the transform holds about 100 bytes per unit of its width
+# hi - lo (2N^2 for r_table, so N <= 1000), the sort five int64 arrays over
+# its pairs.
 _MAX_DENSE_SPAN = 2_000_000
 _MAX_SORT_PAIRS = 12_500_000
 # Fingerprint modulus for big-integer differences: a prime below 2^61, so
@@ -66,12 +67,13 @@ def _autocorrelation(
 
     With `dense`, returns the int64 array indexed by h + max - min, over the
     whole span; a result that size costs O(span) whatever the route, so it
-    always comes from the dense transform.  Otherwise returns r(0) followed
-    by the nonzero r(h), h > 0, in no particular order (r(-h) = r(h)), from
-    the route the input favours: the dense transform when the span is small
-    next to the number s of distinct values, else a sort of the s(s-1)/2
-    pairwise differences, in int64 when every |m| < 2^62 and by fingerprint
-    otherwise.
+    always comes from the dense transform (the caller keeps max - min within
+    _MAX_DENSE_SPAN).  Otherwise returns r(0) followed by the nonzero r(h),
+    h > 0, in no particular order (r(-h) = r(h)), from the route the input
+    favours: the dense transform when the span is small next to the number
+    s of distinct values, else one sort of the s(s-1)/2 pairwise
+    differences, on their residues mod a prime.  The budget is charged the
+    transform's digits, span * len(str(r(0))), or the sort's s^2.
 
     Every r(h) is at most r(0) = sum c^2 (Cauchy-Schwarz), which must equal
     `center`, and the r(h) sum to (sum c)^2; a result that breaks either
@@ -84,15 +86,16 @@ def _autocorrelation(
     lo, hi = values[0], values[-1]
     span, s = hi - lo + 1, len(values)
     r0 = int(weights @ weights)
+    digits = len(str(r0))
     if dense or (
-        span <= _MAX_DENSE_SPAN
+        hi - lo <= _MAX_DENSE_SPAN
         and (span <= _DENSE_SPAN_PER_PAIR * s * s or s * (s - 1) // 2 > _MAX_SORT_PAIRS)
     ):
-        budget.require(span, "dense product-correlation length")
+        budget.require(span * digits, "dense product-correlation digits")
         offsets = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
         counts = np.zeros(span, dtype=np.int64)
         counts[offsets] = weights
-        corr = _dense_correlation(counts, len(str(r0)))
+        corr = _dense_correlation(counts, digits)
         got_center, got_mass = int(corr[span - 1]), int(corr.sum())
         if not dense:
             corr = corr[span - 1 :]
@@ -107,8 +110,6 @@ def _autocorrelation(
         budget.require(s * s, "product-correlation pair work")
         if s == 1:
             half = np.zeros(0, dtype=np.int64)
-        elif max(-lo, hi) < 2**62:
-            half = _sorted_pair_sums(np.array(values, dtype=np.int64), weights)
         else:
             half = _fingerprint_pair_sums(values, weights)
         got_center, got_mass = r0, r0 + 2 * int(half.sum())
@@ -192,22 +193,21 @@ def _group_sums(keys: np.ndarray, prods: np.ndarray):
     return order, starts, np.add.reduceat(prods[order], starts)
 
 
-def _sorted_pair_sums(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """r(h) for h > 0 from sorted int64 values below 2^62 in magnitude,
-    grouped on the exact differences."""
-    diffs, prods = _pair_differences(values, weights)
-    return _group_sums(diffs, prods)[2]
-
-
 def _fingerprint_pair_sums(values: list[int], weights: np.ndarray) -> np.ndarray:
-    """r(h) for h > 0 from sorted values of any size.
+    """r(h) for h > 0 from sorted distinct values of any size.
 
-    Pairs are grouped on their difference mod _FINGERPRINT_PRIME.  Inside
-    every group of two or more pairs the exact differences are compared;
-    if any group holds two, all such pairs are grouped again on their exact
+    Pairs are grouped on their difference mod _FINGERPRINT_PRIME, one sort
+    over the keys (m - lo) mod the prime.  When hi - lo is below the prime,
+    every key is the exact m - lo and every key difference the exact
+    difference, so no two h can share a group.  Otherwise the exact
+    differences are compared inside every group of two or more pairs; if
+    any group holds two, all such pairs are grouped again on their exact
     differences, so a collision mod the prime cannot merge two h."""
-    s = len(values)
-    residues = np.array([m % _FINGERPRINT_PRIME for m in values], dtype=np.int64)
+    s, lo = len(values), values[0]
+    if values[-1] - lo < _FINGERPRINT_PRIME:
+        residues = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
+        return _group_sums(*_pair_differences(residues, weights))[2]
+    residues = np.array([(m - lo) % _FINGERPRINT_PRIME for m in values], dtype=np.int64)
     keys, prods = _pair_differences(residues, weights)
     keys %= _FINGERPRINT_PRIME
     order, starts, sums = _group_sums(keys, prods)
@@ -303,13 +303,16 @@ def r_zero(n: int, budget: WorkBudget | None = None) -> int:
 def r_table(n: int, budget: WorkBudget | None = None) -> RTable:
     """The full autocorrelation table r_N(h) for |h| <= 2n^2, exact.
 
-    Budgeted as O(support^2) pair work, which caps n near 224 under the
-    default budget; the dense transform behind it is much cheaper."""
+    The dense transform behind it is charged its digits, (2n^2 + 1) times
+    those of r_N(0); its memory cap on the product width 2n^2 stops n at
+    1000, which no budget lifts."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    budget = budget or WorkBudget()
-    support = 2 * n * n + 1
-    budget.require(support * support, "product-autocorrelation pair work")
+    if 2 * n * n > _MAX_DENSE_SPAN:
+        raise ValueError(
+            f"r_table needs n <= {math.isqrt(_MAX_DENSE_SPAN // 2)}, the memory cap "
+            f"of the dense transform (product width {_MAX_DENSE_SPAN}); no budget lifts it"
+        )
     r = _autocorrelation(product_distribution(n), r_zero(n, budget), budget, dense=True)
     r.flags.writeable = False
     return RTable(n=n, r=r)

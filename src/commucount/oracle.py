@@ -232,10 +232,6 @@ class MeetInMiddle3:
         _, i1, i2 = self.partner_pairs(a_flat[None, :])
         return np.concatenate([self.h1[i1], self.h2[i2]], axis=1)
 
-    def a_batch(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of the lexicographic A enumeration, decoded."""
-        return a_rows(self.n, np.arange(lo, hi, dtype=np.int64))
-
 
 def states_3x3(n: int) -> int:
     """Budget accounting for the 3x3 oracle: every A, times both halves of
@@ -285,7 +281,8 @@ def _count3_range(n: int, lo: int, hi: int) -> int:
     mim = MeetInMiddle3(n)
     total = 0
     for block in range(lo, hi, mim.max_rows):
-        total += int(mim.count_block(mim.a_batch(block, min(block + mim.max_rows, hi))).sum())
+        a_block = a_rows(n, np.arange(block, min(block + mim.max_rows, hi)))
+        total += int(mim.count_block(a_block).sum())
     return total
 
 

@@ -46,19 +46,6 @@ class PadicParams:
         return self.p**self.n
 
 
-def valuation(x: int, params: PadicParams) -> int:
-    """v_p of the residue of x mod p^n, capped at n (so the zero residue
-    gets n)."""
-    r = x % params.q
-    if r == 0:
-        return params.n
-    v = 0
-    while r % params.p == 0:
-        r //= params.p
-        v += 1
-    return v
-
-
 def s_n0_formula(params: PadicParams) -> int:
     """|class-0 solutions| = p^{4n}(1 + 1/p)(1 - 1/p^3), always integral:
     p^{4n} + p^{4n-1} - p^{4n-3} - p^{4n-4}."""

@@ -8,11 +8,13 @@ AB - BA is affine in the four diagonal differences
 
     X = (a5 - a1,  b5 - b1,  a9 - a1,  b9 - b1),
 
-so commuting is equivalent to M X = Y for a 6x4 matrix M built from the
-off-diagonal entries and a vector Y of 2x2 cross-determinants
-D(i, j) = a_i*b_j - a_j*b_i.  The hard-coded rows below follow the sign
-convention under which rows 1-4 of M X - Y reproduce the (1,2), (2,1),
-(1,3), (3,1) commutator entries and rows 5-6 their (3,2), (2,3) negatives.
+so the off-diagonal entries vanish exactly when M X = Y for a 6x4 matrix M
+built from the off-diagonal entries and a vector Y of 2x2
+cross-determinants D(i, j) = a_i*b_j - a_j*b_i.  One builder,
+_pair_systems, writes the system down for any d from the commutator
+formula and a table of (i, j, sign) rows: for 3x3 the rows are the (1,2),
+(2,1), (1,3), (3,1) commutator entries and the negated (3,2), (2,3) ones;
+the 4x4 demonstration takes its twelve off-diagonal entries unsigned.
 Partitioning commuting pairs by rank(M) in 0..4 is exact and is where the
 even/odd structure of the counting problem lives.
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,41 +187,40 @@ def _flatten3(mat, name: str) -> list[int]:
     return [x for row in rows for x in row]
 
 
-def _pair_systems(a: np.ndarray, b: np.ndarray):
-    """M (k,6,4), X (k,4), Y (k,6) for k pairs, A = a[i] and B = b[i] given
-    as flattened rows, in the dtype of b."""
-    a1, a2, a3, a4, a5, a6, a7, a8, a9 = a.T
-    b1, b2, b3, b4, b5, b6, b7, b8, b9 = b.T
+# The rows of the 3x3 system: the (i, j) entry of AB - BA (1-based) and the
+# sign it enters M X - Y with.
+_ROWS_3X3 = ((1, 2, 1), (2, 1, 1), (1, 3, 1), (3, 1, 1), (3, 2, -1), (2, 3, -1))
+
+
+def _pair_systems(a: np.ndarray, b: np.ndarray, rows=_ROWS_3X3):
+    """M (k, R, 2d-2), X (k, 2d-2), Y (k, R) for k pairs of d x d matrices,
+    A = a[i] and B = b[i] given as flattened rows, in the dtype of b.
+
+    X = (alpha_2, beta_2, ..., alpha_d, beta_d) with alpha_t = a_tt - a_11
+    and beta_t = b_tt - b_11.  The (i, j) entry of AB - BA is
+    a_ij (beta_j - beta_i) - b_ij (alpha_j - alpha_i) plus the terms free of
+    the diagonal, sum_{k != i, j} (a_ik b_kj - b_ik a_kj); the row (i, j,
+    sign) of M takes sign times the first part and Y takes minus sign times
+    the second, so row r of M X - Y is sign times that entry."""
     k = len(b)
-    m = np.zeros((k, 6, 4), dtype=b.dtype)
-    m[:, 0, 0] = -b2
-    m[:, 0, 1] = a2
-    m[:, 1, 0] = b4
-    m[:, 1, 1] = -a4
-    m[:, 2, 2] = -b3
-    m[:, 2, 3] = a3
-    m[:, 3, 2] = b7
-    m[:, 3, 3] = -a7
-    m[:, 4, 0] = b8
-    m[:, 4, 1] = -a8
-    m[:, 4, 2] = -b8
-    m[:, 4, 3] = a8
-    m[:, 5, 0] = -b6
-    m[:, 5, 1] = a6
-    m[:, 5, 2] = b6
-    m[:, 5, 3] = -a6
-    x = np.stack([a5 - a1, b5 - b1, a9 - a1, b9 - b1], axis=1)
-    y = np.stack(
-        [
-            a8 * b3 - a3 * b8,
-            a7 * b6 - a6 * b7,
-            a6 * b2 - a2 * b6,
-            a4 * b8 - a8 * b4,
-            a7 * b2 - a2 * b7,
-            a4 * b3 - a3 * b4,
-        ],
-        axis=1,
-    )
+    d = math.isqrt(b.shape[1])
+    a, b = a.reshape(k, d, d), b.reshape(k, d, d)
+    alpha = a.diagonal(axis1=1, axis2=2)[:, 1:] - a[:, :1, 0]
+    beta = b.diagonal(axis1=1, axis2=2)[:, 1:] - b[:, :1, 0]
+    x = np.stack([alpha, beta], axis=2).reshape(k, 2 * d - 2)
+    m = np.zeros((k, len(rows), 2 * d - 2), dtype=b.dtype)
+    y = np.zeros((k, len(rows)), dtype=b.dtype)
+    for r, (i, j, sign) in enumerate(rows):
+        i, j = i - 1, j - 1
+        if j:
+            m[:, r, 2 * j - 2] -= sign * b[:, i, j]
+            m[:, r, 2 * j - 1] += sign * a[:, i, j]
+        if i:
+            m[:, r, 2 * i - 2] += sign * b[:, i, j]
+            m[:, r, 2 * i - 1] -= sign * a[:, i, j]
+        others = [t for t in range(d) if t not in (i, j)]
+        free = a[:, i, others] * b[:, others, j] - b[:, i, others] * a[:, others, j]
+        y[:, r] = -sign * free.sum(axis=1)
     return m, x, y
 
 
@@ -367,8 +369,8 @@ def _classify_reps(
             m, x, y = _pair_systems(a_block[r], bs)
             if not np.array_equal(np.einsum("krc,kc->kr", m, x), y):
                 raise InvariantViolation(
-                    "a commuting pair violated M X = Y; the hard-coded system "
-                    "rows disagree with the commutator"
+                    "a commuting pair violated M X = Y; the system rows "
+                    "disagree with the commutator"
                 )
             hist += np.bincount(5 * r + batched_rank(m), minlength=len(hist))
         counts += sizes[block:stop] @ hist.reshape(-1, 5)
@@ -451,9 +453,10 @@ _DEMO_B_OFF = (
     (0, 0, 1, 0),
 )
 
+# The twelve off-diagonal equations, each with sign +1.
 _DEMO_PAIR_ORDER = (
-    (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (4, 1),
-    (2, 3), (3, 2), (2, 4), (4, 2), (3, 4), (4, 3),
+    (1, 2, 1), (2, 1, 1), (1, 3, 1), (3, 1, 1), (1, 4, 1), (4, 1, 1),
+    (2, 3, 1), (3, 2, 1), (2, 4, 1), (4, 2, 1), (3, 4, 1), (4, 3, 1),
 )
 
 
@@ -480,10 +483,11 @@ def inconsistency_demo_4x4(
 
     The twelve off-diagonal equations are ordered (1,2), (2,1), (1,3), (3,1),
     (1,4), (4,1), (2,3), (3,2), (2,4), (4,2), (3,4), (4,3) and projected onto
-    X = (a22-a11, b22-b11, ..., b44-b11); under that ordering the seventh row
-    of M is zero while Y_7 = 1, and the first six rows alone determine X
-    uniquely (their determinant is -2).  Infeasibility itself is checked
-    ordering-free: rank(M) < rank([M | Y]) by exact elimination.
+    X = (a22-a11, b22-b11, ..., b44-b11) by the same _pair_systems as the
+    3x3 system; under that ordering the seventh row of M is zero while
+    Y_7 = 1, and the first six rows alone determine X uniquely (their
+    determinant is -2).  Infeasibility itself is checked ordering-free:
+    rank(M) < rank([M | Y]) by exact elimination.
     """
     a = [list(row) for row in _DEMO_A_OFF]
     b = [list(row) for row in _DEMO_B_OFF]
@@ -494,29 +498,13 @@ def inconsistency_demo_4x4(
     comm = commutator(a, b)
     diagonal_vanishes = all(comm[i][i] == 0 for i in range(4))
 
-    m_rows = []
-    y_vec = []
-    for i, j in _DEMO_PAIR_ORDER:
-        row = [0] * 6
-        # X packs (alpha_2, beta_2, alpha_3, beta_3, alpha_4, beta_4) with
-        # alpha_t = a_tt - a_11; the (i, j) commutator entry contributes
-        # a_ij*(beta_j - beta_i) - b_ij*(alpha_j - alpha_i) plus pure
-        # off-diagonal cross terms, which are moved to Y.
-        if j != 1:
-            row[2 * (j - 2)] -= b[i - 1][j - 1]
-            row[2 * (j - 2) + 1] += a[i - 1][j - 1]
-        if i != 1:
-            row[2 * (i - 2)] += b[i - 1][j - 1]
-            row[2 * (i - 2) + 1] -= a[i - 1][j - 1]
-        y = -sum(
-            a[i - 1][k] * b[k][j - 1] - b[i - 1][k] * a[k][j - 1]
-            for k in range(4)
-            if k not in (i - 1, j - 1)
-        )
-        m_rows.append(row)
-        y_vec.append(y)
-
-    augmented = [row + [y] for row, y in zip(m_rows, y_vec)]
+    m, _, y = _pair_systems(
+        np.array(a, dtype=object).reshape(1, 16),
+        np.array(b, dtype=object).reshape(1, 16),
+        _DEMO_PAIR_ORDER,
+    )
+    m_rows, y_vec = m[0].tolist(), y[0].tolist()
+    augmented = [row + [v] for row, v in zip(m_rows, y_vec)]
     return {
         "diagonal_vanishes": diagonal_vanishes,
         "seventh_row_zero": not any(m_rows[6]),

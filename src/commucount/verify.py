@@ -293,13 +293,13 @@ def criterion_lower_bounds(
 
 
 def _random_test_sets(rng: np.random.Generator, count: int, max_size: int):
-    """Random integer sets spread across the exact-correlation routes:
+    """Random integer sets spread across both exact-correlation routes:
     mostly values in [-150, 150] (a narrow product span: the dense
-    transform from about 45 elements up, sorted int64 differences below),
-    a few mid-sized sets in [-10^6, 10^6] and tiny ones in [-10^9, 10^9]
-    (wide spans: sorted int64 differences).  The criterion's arithmetic
-    progressions take the dense transform, its geometric ones the
-    fingerprint route."""
+    transform from about 45 elements up, the sort below), a few mid-sized
+    sets in [-10^6, 10^6] and tiny ones in [-10^9, 10^9] (wide spans: the
+    sort, on exact differences).  The criterion's arithmetic progressions
+    take the dense transform, its geometric ones the sort on residues mod
+    the fingerprint prime."""
     for i in range(count):
         if i % 10 == 8:
             size = int(rng.integers(40, 71))

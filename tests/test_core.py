@@ -3,6 +3,7 @@ distributions, and the zeta constants everything downstream normalizes by.
 """
 
 import math
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -11,8 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from commucount.core import (
-    PrimitiveDirection,
-    canonical_direction,
     dependent_pair_constant,
     divisor_tau,
     is_prime,
@@ -22,7 +21,6 @@ from commucount.core import (
     primitive_directions,
     product_distribution,
     totient,
-    totient_cubes_tail,
     totient_power_sums,
     totient_sieve,
     zeta_value,
@@ -60,9 +58,6 @@ def test_derived_constants():
     # 10*zeta(2)/(3*zeta(3)) and 16/zeta(2), straight from the pinned values.
     assert float(main_term_constant_2x2()) == pytest.approx(4.5614425920673529, abs=1e-12)
     assert float(dependent_pair_constant()) == pytest.approx(9.7268336, abs=1e-6)
-    assert float(totient_cubes_tail()) == pytest.approx(
-        float(ZETA2_30 / ZETA3_30 - 1), abs=1e-12
-    )
 
 
 @pytest.mark.parametrize(
@@ -152,41 +147,17 @@ def test_every_grid_point_hits_exactly_one_direction():
     """The canonical directions with m <= n partition the nonzero grid points
     of [-n, n]^2 into lines through the origin."""
     n = 12
-    dirs = set(primitive_directions(n))
-    seen = 0
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if x == 0 and y == 0:
-                continue
-            d = canonical_direction(x, y)
-            assert d in dirs
-            seen += 1
+    hits = Counter(
+        (z * d.u, z * d.v)
+        for d in primitive_directions(n)
+        for z in range(-n, n + 1)
+        if z != 0 and max(abs(z * d.u), abs(z * d.v)) <= n
+    )
+    grid = {(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1)} - {(0, 0)}
+    assert set(hits) == grid
+    assert set(hits.values()) == {1}
     # ... and each direction owns 2*(n // m) nonzero points.
-    assert seen == sum(2 * (n // d.m) for d in dirs)
-
-
-@given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-def test_canonical_direction_is_stable_under_scaling(x, y):
-    if x == 0 and y == 0:
-        return
-    d = canonical_direction(x, y)
-    assert math.gcd(d.u, d.v) == 1
-    assert d.u > 0 or (d.u, d.v) == (0, 1)
-    for scale in (2, -3):
-        assert canonical_direction(scale * x, scale * y) == d
-
-
-def test_from_uv_validates():
-    with pytest.raises(ValueError):
-        PrimitiveDirection.from_uv(2, 4)
-    with pytest.raises(ValueError):
-        PrimitiveDirection.from_uv(-1, 2)
-    assert PrimitiveDirection.from_uv(0, 1).m == 1
-
-
-def test_canonical_direction_rejects_origin():
-    with pytest.raises(ValueError):
-        canonical_direction(0, 0)
+    assert len(grid) == sum(2 * (n // d.m) for d in primitive_directions(n))
 
 
 # --- product distribution ----------------------------------------------------

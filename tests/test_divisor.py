@@ -5,6 +5,7 @@ divisor-sum diagnostics.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +118,20 @@ def test_r_table_budget_refusal():
         r_table(500, WorkBudget(10**6))
 
 
+def test_r_table_past_the_transform_cap_raises_value_error(monkeypatch):
+    # The product width 2N^2 passes the dense transform's fixed memory cap
+    # at N = 1001; the refusal comes before the product distribution is
+    # built, and no budget lifts it.
+    def unexpected(n):
+        raise AssertionError("product_distribution ran")
+
+    monkeypatch.setattr(divisor, "product_distribution", unexpected)
+    for budget in (None, WorkBudget(10**30)):
+        with pytest.raises(ValueError, match="memory cap") as exc:
+            r_table(1001, budget)
+        assert not isinstance(exc.value, BudgetExceeded)
+
+
 def test_table_n_mismatch_rejected():
     table = r_table(3)
     with pytest.raises(ValueError):
@@ -161,7 +176,9 @@ def test_moment_reuses_table():
     ],
 )
 def test_moments_pinned_from_the_squaring_route(n, i2, i3):
-    table = r_table(n, WorkBudget(10**11))
+    # Under the default budget: the transform is charged its digits,
+    # 125001 * 7 = 8.8e5 at N = 250.
+    table = r_table(n)
     assert moment(n, 2, table=table) == i2
     assert moment(n, 3, table=table) == i3
 
@@ -330,7 +347,7 @@ def naive_correlation_stats(ints):
     }
 
 
-ROUTES = ("_dense_correlation", "_sorted_pair_sums", "_fingerprint_pair_sums")
+ROUTES = ("_dense_correlation", "_fingerprint_pair_sums")
 
 
 @pytest.fixture
@@ -356,11 +373,15 @@ def _seeded_set(seed, size, bound):
         # narrow span, many distinct products
         pytest.param("_dense_correlation", _seeded_set(1, 30, 40), id="dense-30-in-40"),
         pytest.param("_dense_correlation", list(range(1, 25)), id="dense-1-to-24"),
-        # wide span, every product below 2^62
-        pytest.param("_sorted_pair_sums", [-7, -2, 1, 3, 4, 9, 12], id="int64-7-small"),
-        pytest.param("_sorted_pair_sums", _seeded_set(2, 25, 10**6), id="int64-25-in-1e6"),
-        pytest.param("_sorted_pair_sums", _seeded_set(3, 12, 2 * 10**9), id="int64-12-in-2e9"),
-        # products past 2^62
+        # wide span, every product within int64: the sort on exact
+        # differences, except for the 12 values in 2e9, whose products span
+        # 8e18, past the fingerprint prime P, and are sorted on residues
+        pytest.param("_fingerprint_pair_sums", [-7, -2, 1, 3, 4, 9, 12], id="int64-7-small"),
+        pytest.param("_fingerprint_pair_sums", _seeded_set(2, 25, 10**6), id="int64-25-in-1e6"),
+        pytest.param(
+            "_fingerprint_pair_sums", _seeded_set(3, 12, 2 * 10**9), id="int64-12-in-2e9"
+        ),
+        # products past 2^62: the sort, on residues
         pytest.param("_fingerprint_pair_sums", [3 * 2**k for k in range(32)], id="fp-3x2k"),
         # many equal differences: shared buckets whose exact differences agree
         pytest.param("_fingerprint_pair_sums", [2**70 * i for i in range(1, 20)], id="fp-ap"),
@@ -384,6 +405,37 @@ def test_fingerprint_route_separates_forced_collisions(routes_taken):
     for vals in ([1, 2**61 - 30], [1, 2, 2**61 - 30, 2**61 - 29], [-1, 1, 2**61 - 30]):
         assert lemma61_check(vals) == naive_correlation_stats(vals)
     assert set(routes_taken) == {"_fingerprint_pair_sums"}
+
+
+def naive_pair_sums(values, weights):
+    """{h: r(h)} for h > 0 by a double loop over the distinct values."""
+    sums = Counter()
+    for i, (m1, c1) in enumerate(zip(values, weights)):
+        for m2, c2 in zip(values[i + 1 :], weights[i + 1 :]):
+            sums[m2 - m1] += c1 * c2
+    return dict(sums)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # hi - lo = P: the keys are residues, and the differences 1, P - 1
+        # and P have the distinct residues 1, P - 1 and 0
+        [0, 1, divisor._FINGERPRINT_PRIME],
+        # hi - lo = P + 1: the differences 1 and P + 1 share the residue 1,
+        # so their bucket must be split by the exact comparison
+        [0, 1, divisor._FINGERPRINT_PRIME + 1],
+        # hi - lo = P - 1: the keys are the exact differences
+        [0, 1, divisor._FINGERPRINT_PRIME - 1],
+    ],
+    ids=["width-P", "width-P+1", "width-P-1"],
+)
+def test_sort_at_the_exactness_boundary(values):
+    weights = np.array([3, 5, 7], dtype=np.int64)
+    got = divisor._fingerprint_pair_sums(values, weights)
+    want = naive_pair_sums(values, weights.tolist())
+    assert sorted(got.tolist()) == sorted(want.values())
+    assert len(got) == len(want) == 3
 
 
 def test_argsort_route_matches_naive():

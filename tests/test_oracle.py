@@ -15,6 +15,7 @@ from commucount.oracle import (
     _count3_range,
     _parallel_over_a,
     WorkBudget,
+    a_rows,
     brute_commuting_count,
     brute_degenerate_padic,
     brute_padic_solutions,
@@ -101,7 +102,7 @@ def test_meet_in_middle_partners_match_direct_scan():
     rng = np.random.default_rng(7)
     sample = rng.integers(0, 3**9, size=12)
     for a_id in sample:
-        a_flat = mim.a_batch(int(a_id), int(a_id) + 1)[0]
+        a_flat = a_rows(1, [int(a_id)])[0]
         a = a_flat.reshape(3, 3).tolist()
         direct = {
             tuple(bf.tolist())
@@ -131,7 +132,7 @@ def test_block_join_matches_per_a_counts(n, lo, rows):
     mim = MeetInMiddle3(n)
     if n == 2:
         assert mim.max_rows < rows  # the range spans more than one block
-    a = mim.a_batch(lo, lo + rows)
+    a = a_rows(n, np.arange(lo, lo + rows))
     per_a = [mim.count_for_a(a_flat) for a_flat in a]
     blocks = np.concatenate(
         [mim.count_block(a[s : s + mim.max_rows]) for s in range(0, rows, mim.max_rows)]
@@ -152,7 +153,7 @@ def test_block_cut_short_by_the_key_shift_limit():
     assert mim.max_rows * mim.key_span <= 2**63
     rng = np.random.default_rng(19)
     lo = int(rng.integers(0, 9**9 - 5))
-    a = mim.a_batch(lo, lo + 5)
+    a = a_rows(4, np.arange(lo, lo + 5))
     a[1] = 0  # the zero matrix commutes with all 9^9 B
     per_a = [mim.count_for_a(a_flat) for a_flat in a]
     assert per_a[1] == 9**9
@@ -169,7 +170,7 @@ def test_block_cut_short_by_the_key_shift_limit():
 
 def test_partner_pairs_of_a_block_match_per_a_partners():
     mim = MeetInMiddle3(1)
-    a = mim.a_batch(5000, 5400)
+    a = a_rows(1, np.arange(5000, 5400))
     row, i1, i2 = mim.partner_pairs(a)
     bs = np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1)
     for r in range(0, 400, 13):
@@ -205,8 +206,7 @@ def test_meet_in_middle_rejects_overflowing_n():
 
 
 def test_a_batch_is_lexicographic():
-    mim = MeetInMiddle3(1)
-    batch = mim.a_batch(0, 3**9)
+    batch = a_rows(1, np.arange(3**9))
     assert np.array_equal(batch, grid_tuples(1, 9))
 
 

@@ -22,7 +22,6 @@ from commucount.padic import (
     s_n0_formula,
     sigma_p,
     theorem13_main,
-    valuation,
     valuation_classes_fast,
 )
 
@@ -37,15 +36,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PadicParams(2, 64)
     assert PadicParams(3, 2).q == 9
-
-
-def test_valuation():
-    pp = PadicParams(3, 4)  # q = 81
-    assert valuation(1, pp) == 0
-    assert valuation(6, pp) == 1
-    assert valuation(54, pp) == 3
-    assert valuation(81, pp) == 4  # the zero residue caps at n
-    assert valuation(81 + 9, pp) == 2
 
 
 @pytest.mark.parametrize(

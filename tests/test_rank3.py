@@ -16,7 +16,7 @@ from commucount.errors import (
     InvariantViolation,
     UnsupportedDimension,
 )
-from commucount.oracle import MeetInMiddle3, WorkBudget, brute_commuting_count
+from commucount.oracle import MeetInMiddle3, WorkBudget, a_rows, brute_commuting_count
 from commucount.rank3 import (
     _pair_systems,
     batched_rank,
@@ -326,7 +326,7 @@ def rank_histogram(mim, a_flat):
 def test_group_keeps_counts_and_rank_histograms():
     mim = MeetInMiddle3(1)
     rng = np.random.default_rng(96)
-    sample = [mim.a_batch(int(i), int(i) + 1)[0] for i in rng.integers(0, 3**9, 5)]
+    sample = list(a_rows(1, rng.integers(0, 3**9, 5)))
     sample += [np.array([1, 0, 0, 0, 0, 0, 0, 0, -1]), np.array([0, 1, 0, 0, 0, 1, 0, 0, 0])]
     for a_flat in sample:
         count = mim.count_for_a(a_flat)
@@ -346,7 +346,7 @@ def test_orbit_representatives_at_n1():
     # each representative is the smallest id of its orbit, and its orbit
     # size is the number of distinct images, computed entry by entry
     place = 3 ** np.arange(8, -1, -1)
-    grid = MeetInMiddle3(1).a_batch(0, 3**9)
+    grid = a_rows(1, np.arange(3**9))
     for rep, size in zip(reps[::9], sizes[::9]):
         ids = {int((act(g, grid[rep]) + 1) @ place) for g in range(96)}
         assert min(ids) == rep
@@ -459,3 +459,19 @@ def test_demo_pair_really_does_not_commute():
     c = commutator(a, b)
     assert any(v != 0 for row in c for v in row)
     assert all(c[i][i] == 0 for i in range(4))
+
+
+def test_pair_systems_reproduce_the_4x4_commutator():
+    """The one system builder, on the demonstration's row table and on
+    arbitrary 4x4 pairs: row r of M X - Y is the (i, j) commutator entry."""
+    from commucount.rank3 import _DEMO_PAIR_ORDER
+
+    rng = np.random.default_rng(44)
+    a = rng.integers(-9, 10, (40, 16))
+    b = rng.integers(-9, 10, (40, 16))
+    m, x, y = _pair_systems(a, b, _DEMO_PAIR_ORDER)
+    assert m.shape == (40, 12, 6) and x.shape == (40, 6)
+    for k in range(40):
+        c = commutator(a[k].reshape(4, 4).tolist(), b[k].reshape(4, 4).tolist())
+        want = [c[i - 1][j - 1] for i, j, _ in _DEMO_PAIR_ORDER]
+        assert (m[k] @ x[k] - y[k]).tolist() == want
