@@ -39,10 +39,9 @@ from .divisor import (
     r_zero,
 )
 from .errors import BudgetExceeded, InvariantViolation
-from .oracle import WorkBudget, brute_commuting_count
+from .oracle import WorkBudget, brute_commuting_count, brute_degenerate_padic, brute_padic_solutions
 from .padic import (
     PadicParams,
-    degenerate_padic_count,
     fast_padic_count,
     sigma_p,
     theorem13_main,
@@ -180,8 +179,6 @@ def _cmd_padic(args, budget) -> list[dict]:
         diagnostics["main_term"] = _fraction_str(theorem13_main(pp))
         diagnostics["sigma_p"] = _fraction_str(sigma_p(args.p))
     elif args.method == "brute":
-        from .oracle import brute_padic_solutions
-
         solutions = brute_padic_solutions(args.p, args.n, budget)
         value = args.p ** (2 * args.n) * solutions
         diagnostics["system_solutions"] = str(solutions)
@@ -192,7 +189,7 @@ def _cmd_padic(args, budget) -> list[dict]:
             diagnostics[f"class_{h}"] = str(c)
         diagnostics["residual"] = str(vc.residual)
     else:
-        value = degenerate_padic_count(pp, budget)
+        value = brute_degenerate_padic(args.p, args.n, budget)
         q = args.p**args.n
         diagnostics["per_n2_q72"] = value / (args.n**2 * q**3.5)
     return [_result("padic", params, str(value), diagnostics)]

@@ -244,33 +244,25 @@ def primitive_directions(n: int) -> list[PrimitiveDirection]:
     return dirs
 
 
-def product_distribution(n: int) -> dict[int, int]:
-    """Multiplicity map of a*b over all (a, b) in [-n, n]^2.
+def product_distribution(n: int) -> np.ndarray:
+    """Multiplicities of a*b over all (a, b) in [-n, n]^2, as the int64 array
+    counts[m + n^2] for |m| <= n^2.
 
     Symmetric (counts[m] == counts[-m]), total mass (2n+1)^2, and the zero
-    class has 4n+1 members.  Quadratic work: the full signed grid reduces to
-    the positive quadrant, counted with numpy unique (chunked so n up to the
-    10^4 scale stays within memory).
+    class has 4n+1 members.  In the positive quadrant the products a*b, b in
+    1..n, are the distinct multiples a, 2a, ..., na, so one strided slice
+    per a counts them; the other quadrants mirror it.
     """
     if n < 0:
         raise ValueError(f"product_distribution needs n >= 0, got {n}")
-    counts: dict[int, int] = {0: 4 * n + 1} if n > 0 else {0: 1}
-    if n == 0:
-        return counts
-    pos = np.arange(1, n + 1, dtype=np.int64)
-    chunk = max(1, 4_000_000 // n)
-    merged: dict[int, int] = {}
-    for lo in range(0, n, chunk):
-        block = np.multiply.outer(pos[lo : lo + chunk], pos).ravel()
-        values, reps = np.unique(block, return_counts=True)
-        if not merged:
-            merged = dict(zip(values.tolist(), reps.tolist()))
-        else:
-            for value, rep in zip(values.tolist(), reps.tolist()):
-                merged[value] = merged.get(value, 0) + rep
-    for value, rep in merged.items():
-        counts[value] = 2 * rep  # (+,+) and (-,-)
-        counts[-value] = 2 * rep  # (+,-) and (-,+)
+    side = n * n
+    quadrant = np.zeros(side + 1, dtype=np.int64)
+    for a in range(1, n + 1):
+        quadrant[a : a * n + 1 : a] += 1
+    counts = np.empty(2 * side + 1, dtype=np.int64)
+    counts[side + 1 :] = 2 * quadrant[1:]  # (+,+) and (-,-)
+    counts[:side] = counts[: side : -1]  # (+,-) and (-,+)
+    counts[side] = 4 * n + 1
     return counts
 
 

@@ -3,16 +3,16 @@ finite-set analogues (doubling constants, sup-vs-center correlation checks).
 
 The central object is r_N(h): over the grid [-N, N]^4, how many quadruples
 satisfy x1*x2 - x3*x4 = h.  That is the autocorrelation of the product
-distribution.  One exact primitive, _autocorrelation, computes it for the
-grid and for arbitrary finite rational sets, by one of two routes picked
-from its input: a dense transform (the counts written as decimal digit
-groups of one number, squared exactly by libmpdec against its reversal)
-when the product span is small next to the number of distinct products,
-else one sort of the pairwise product differences on their residues mod a
-prime.  Below the prime those residues are the exact differences; past it,
-pairs that share a residue are compared exactly.  No floating point
-anywhere; both routes check the centre and mass identities, and the test
-suite checks each against a naive double loop.
+distribution.  r_table feeds the dense product counts of the grid straight
+to an exact transform: the counts written as decimal digit groups of one
+number, squared exactly by libmpdec against its reversal.  Finite rational
+sets go through _autocorrelation, which picks one of two routes from its
+input: the same transform when the product span is small next to the number
+of distinct products, else one sort of the pairwise product differences.
+The sort keys are the exact differences while the span fits int64, and
+residues mod a prime past it, where pairs that share a residue are compared
+exactly.  No floating point anywhere; every route checks the centre and
+mass identities, and the test suite checks each against a naive double loop.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _DENSE_SPAN_PER_PAIR = 0.07
 # its pairs.
 _MAX_DENSE_SPAN = 2_000_000
 _MAX_SORT_PAIRS = 12_500_000
-# Fingerprint modulus for big-integer differences: a prime below 2^61, so
+# Fingerprint modulus for differences past int64: a prime below 2^61, so
 # a difference of residues fits int64.  Not the Mersenne prime 2^61 - 1:
 # there 2^61 = 1, and the differences of a set of powers of two collide by
 # construction.
@@ -57,23 +57,17 @@ _FINGERPRINT_PRIME = 2**61 - 31
 
 
 def _autocorrelation(
-    products: dict[int, int],
-    center: int,
-    budget: WorkBudget | None = None,
-    dense: bool = False,
+    products: dict[int, int], center: int, budget: WorkBudget | None = None
 ) -> np.ndarray:
     """Exact autocorrelation r(h) = sum_{m1 - m2 = h} c(m1) c(m2) of distinct
     values m with counts c(m) > 0.
 
-    With `dense`, returns the int64 array indexed by h + max - min, over the
-    whole span; a result that size costs O(span) whatever the route, so it
-    always comes from the dense transform (the caller keeps max - min within
-    _MAX_DENSE_SPAN).  Otherwise returns r(0) followed by the nonzero r(h),
-    h > 0, in no particular order (r(-h) = r(h)), from the route the input
-    favours: the dense transform when the span is small next to the number
-    s of distinct values, else one sort of the s(s-1)/2 pairwise
-    differences, on their residues mod a prime.  The budget is charged the
-    transform's digits, span * len(str(r(0))), or the sort's s^2.
+    Returns r(0) followed by the nonzero r(h), h > 0, in no particular order
+    (r(-h) = r(h)), from the route the input favours: the dense transform
+    when the span is small next to the number s of distinct values, else
+    one sort of the s(s-1)/2 pairwise differences (_fingerprint_pair_sums).
+    The budget is charged the transform's digits, span * len(str(r(0))), or
+    the sort's s^2.
 
     Every r(h) is at most r(0) = sum c^2 (Cauchy-Schwarz), which must equal
     `center`, and the r(h) sum to (sum c)^2; a result that breaks either
@@ -86,20 +80,18 @@ def _autocorrelation(
     lo, hi = values[0], values[-1]
     span, s = hi - lo + 1, len(values)
     r0 = int(weights @ weights)
-    digits = len(str(r0))
-    if dense or (
-        hi - lo <= _MAX_DENSE_SPAN
-        and (span <= _DENSE_SPAN_PER_PAIR * s * s or s * (s - 1) // 2 > _MAX_SORT_PAIRS)
+    if hi - lo <= _MAX_DENSE_SPAN and (
+        span <= _DENSE_SPAN_PER_PAIR * s * s or s * (s - 1) // 2 > _MAX_SORT_PAIRS
     ):
+        digits = len(str(r0))
         budget.require(span * digits, "dense product-correlation digits")
         offsets = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
         counts = np.zeros(span, dtype=np.int64)
         counts[offsets] = weights
         corr = _dense_correlation(counts, digits)
         got_center, got_mass = int(corr[span - 1]), int(corr.sum())
-        if not dense:
-            corr = corr[span - 1 :]
-            corr = corr[corr != 0]
+        corr = corr[span - 1 :]
+        corr = corr[corr != 0]
     else:
         if s * (s - 1) // 2 > _MAX_SORT_PAIRS:
             raise ValueError(
@@ -114,13 +106,19 @@ def _autocorrelation(
             half = _fingerprint_pair_sums(values, weights)
         got_center, got_mass = r0, r0 + 2 * int(half.sum())
         corr = np.concatenate(([r0], half))
-    mass = int(weights.sum()) ** 2
+    _check_centre_and_mass(r0, got_center, center, got_mass, int(weights.sum()) ** 2)
+    return corr
+
+
+def _check_centre_and_mass(r0: int, got_center: int, center: int, got_mass: int, mass: int):
+    """Raise InvariantViolation unless r0 = sum c^2, the correlation's centre
+    got_center and the expected centre all agree, and its mass got_mass is
+    the expected (sum c)^2."""
     if got_center != center or r0 != center or got_mass != mass:
         raise InvariantViolation(
             f"autocorrelation centre {got_center} and mass {got_mass} disagree "
             f"with the expected {center} and {mass}"
         )
-    return corr
 
 
 def _dense_correlation(counts: np.ndarray, width: int) -> np.ndarray:
@@ -196,17 +194,17 @@ def _group_sums(keys: np.ndarray, prods: np.ndarray):
 def _fingerprint_pair_sums(values: list[int], weights: np.ndarray) -> np.ndarray:
     """r(h) for h > 0 from sorted distinct values of any size.
 
-    Pairs are grouped on their difference mod _FINGERPRINT_PRIME, one sort
-    over the keys (m - lo) mod the prime.  When hi - lo is below the prime,
-    every key is the exact m - lo and every key difference the exact
-    difference, so no two h can share a group.  Otherwise the exact
-    differences are compared inside every group of two or more pairs; if
-    any group holds two, all such pairs are grouped again on their exact
-    differences, so a collision mod the prime cannot merge two h."""
+    Pairs are grouped on their difference, one sort over the keys m - lo.
+    When hi - lo is below 2^63, every key and every key difference is exact
+    in int64, so no two h can share a group.  Otherwise the keys are
+    (m - lo) mod _FINGERPRINT_PRIME, and the exact differences are compared
+    inside every group of two or more pairs; if any group holds two, all
+    such pairs are grouped again on their exact differences, so a collision
+    mod the prime cannot merge two h."""
     s, lo = len(values), values[0]
-    if values[-1] - lo < _FINGERPRINT_PRIME:
-        residues = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
-        return _group_sums(*_pair_differences(residues, weights))[2]
+    if values[-1] - lo < 2**63:
+        keys = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
+        return _group_sums(*_pair_differences(keys, weights))[2]
     residues = np.array([(m - lo) % _FINGERPRINT_PRIME for m in values], dtype=np.int64)
     keys, prods = _pair_differences(residues, weights)
     keys %= _FINGERPRINT_PRIME
@@ -303,9 +301,11 @@ def r_zero(n: int, budget: WorkBudget | None = None) -> int:
 def r_table(n: int, budget: WorkBudget | None = None) -> RTable:
     """The full autocorrelation table r_N(h) for |h| <= 2n^2, exact.
 
-    The dense transform behind it is charged its digits, (2n^2 + 1) times
-    those of r_N(0); its memory cap on the product width 2n^2 stops n at
-    1000, which no budget lifts."""
+    The dense transform of the product counts is charged its digits,
+    (2n^2 + 1) times those of r_N(0), before the counts are built; its
+    memory cap on the product width 2n^2 stops n at 1000, which no budget
+    lifts.  The table's centre must equal both sum c^2 and the closed form
+    r_N(0), and its mass (2n + 1)^4, or InvariantViolation is raised."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if 2 * n * n > _MAX_DENSE_SPAN:
@@ -313,7 +313,15 @@ def r_table(n: int, budget: WorkBudget | None = None) -> RTable:
             f"r_table needs n <= {math.isqrt(_MAX_DENSE_SPAN // 2)}, the memory cap "
             f"of the dense transform (product width {_MAX_DENSE_SPAN}); no budget lifts it"
         )
-    r = _autocorrelation(product_distribution(n), r_zero(n, budget), budget, dense=True)
+    center = r_zero(n, budget)
+    span = 2 * n * n + 1
+    digits = len(str(center))
+    (budget or WorkBudget()).require(span * digits, "dense product-correlation digits")
+    counts = product_distribution(n)
+    r = _dense_correlation(counts, digits)
+    _check_centre_and_mass(
+        int(counts @ counts), int(r[span - 1]), center, int(r.sum()), (2 * n + 1) ** 4
+    )
     r.flags.writeable = False
     return RTable(n=n, r=r)
 

@@ -331,6 +331,8 @@ def _padic_enumerate(
     if n < 1:
         raise ValueError("n must be >= 1")
     q = p**n
+    if q * q >= 2**63:
+        raise ValueError(f"q = {q}: the int64 cross products need q^2 < 2^63")
     budget.require(q**6, "residue-tuple enumeration")
     dtype = np.int64 if q > 46340 else np.int32
     T = np.indices((q, q, q)).reshape(3, -1).T.astype(dtype)

@@ -128,12 +128,12 @@ def matrix_rank_exact(rows) -> int:
     return rank
 
 
-def batched_rank(mats: np.ndarray, prime: int = _RANK_PRIME) -> np.ndarray:
+def batched_rank(mats: np.ndarray) -> np.ndarray:
     """Exact ranks of a (batch, R, C) int64 stack, vectorized.
 
-    Works mod `prime` with fraction-free row operations; valid because every
-    minor is bounded via Hadamard by (max|entry| * sqrt(k))^k, and we refuse
-    inputs where that bound reaches the modulus.
+    Works mod _RANK_PRIME with fraction-free row operations; valid because
+    every minor is bounded via Hadamard by (max|entry| * sqrt(k))^k, and we
+    refuse inputs where that bound reaches the modulus.
     """
     if mats.ndim != 3:
         raise ValueError("expected a (batch, rows, cols) stack")
@@ -142,9 +142,9 @@ def batched_rank(mats: np.ndarray, prime: int = _RANK_PRIME) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     k = min(n_rows, n_cols)
     ma = int(np.abs(mats).max(initial=0))
-    if (ma * ma * k) ** k >= prime * prime:
-        raise ValueError(f"entries up to {ma} overflow the mod-{prime} rank path")
-    m = mats.astype(np.int64) % prime
+    if (ma * ma * k) ** k >= _RANK_PRIME * _RANK_PRIME:
+        raise ValueError(f"entries up to {ma} overflow the mod-{_RANK_PRIME} rank path")
+    m = mats.astype(np.int64) % _RANK_PRIME
     rank = np.zeros(n_batch, dtype=np.int64)
     used = np.zeros((n_batch, n_rows), dtype=bool)
     for col in range(n_cols):
@@ -159,7 +159,7 @@ def batched_rank(mats: np.ndarray, prime: int = _RANK_PRIME) -> np.ndarray:
         pivrows = sub[rows_idx, pr]          # (Bh, C)
         pivvals = pivrows[:, col]            # (Bh,)
         colvals = sub[:, :, col]             # (Bh, R)
-        new = (pivvals[:, None, None] * sub - colvals[:, :, None] * pivrows[:, None, :]) % prime
+        new = (pivvals[:, None, None] * sub - colvals[:, :, None] * pivrows[:, None, :]) % _RANK_PRIME
         new = np.where(used[bidx][:, :, None], sub, new)
         new[rows_idx, pr] = pivrows
         m[bidx] = new

@@ -46,3 +46,24 @@ def test_every_workload_job_target_resolves(workload):
     jobs = workloads.GENERATORS[workload](0) + workloads.warmup_jobs(workload)
     for target in {job.target for job in jobs}:
         assert callable(resolve(*target.split("."))), target
+
+
+def test_every_traced_function_fires_in_the_warmup_jobs():
+    # A span that never opens reads 0 in every traced run, which looks like
+    # a layer that costs nothing; each one must be reached by some warmup.
+    spans, workloads = load("spans"), load("workloads")
+    for module, *_ in spans.FUNCTIONS:
+        importlib.import_module("commucount." + module)
+    recorder = spans.Recorder()
+    with recorder.instrument():
+        for workload in ("closed_form", "correlation", "enumeration"):
+            results = []
+            for job in workloads.warmup_jobs(workload):
+                module, name = job.target.split(".")
+                fn = getattr(importlib.import_module("commucount." + module), name)
+                args = [results[a.index] if isinstance(a, workloads.FromJob) else a for a in job.args]
+                kwargs = {k: results[v.index] if isinstance(v, workloads.FromJob) else v
+                          for k, v in job.kwargs.items()}
+                results.append(fn(*args, **kwargs))
+    silent = {name for _, _, name, *_ in spans.FUNCTIONS} - {span[0] for span in recorder.spans}
+    assert not silent, sorted(silent)

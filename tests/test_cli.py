@@ -112,6 +112,20 @@ def test_padic_classes(capsys):
     assert int(res["value"]) == 5376 + 1344 + 64
 
 
+def test_padic_degenerate_and_the_oracle_modulus_cap(capsys):
+    code, out, _ = run_cli(capsys, "padic", "--p", "2", "--n", "2", "--method", "degenerate")
+    assert code == 0 and json_lines(out)[0]["value"] == "304"
+    # q = 2^32: past the oracle's int64 cross products, a usage error even
+    # with a budget that would cover the enumeration; the closed form runs.
+    for method in ("brute", "degenerate"):
+        code, out, err = run_cli(
+            capsys, "padic", "--p", "2", "--n", "32", "--method", method, "--budget", "1" + "0" * 200
+        )
+        assert code == 2 and out == "" and "q^2 < 2^63" in err
+    code, out, _ = run_cli(capsys, "padic", "--p", "2", "--n", "32")
+    assert code == 0 and json_lines(out)[0]["diagnostics"]["sigma_p"] == "7/4"
+
+
 def test_divisor_single_h(capsys):
     code, out, _ = run_cli(capsys, "divisor", "--n", "2", "--h", "1")
     assert code == 0

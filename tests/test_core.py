@@ -165,29 +165,31 @@ def test_every_grid_point_hits_exactly_one_direction():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 20])
 def test_product_distribution_invariants(n):
-    dist = product_distribution(n)
+    counts = product_distribution(n)
     side = 2 * n + 1
-    assert sum(dist.values()) == side * side
-    assert dist[0] == (4 * n + 1 if n else 1)
-    assert all(dist[m] == dist[-m] for m in dist)
+    assert counts.dtype == np.int64 and counts.shape == (2 * n * n + 1,)
+    assert counts.sum() == side * side
+    assert counts[n * n] == (4 * n + 1 if n else 1)
+    assert np.array_equal(counts, counts[::-1])
 
 
 def test_product_distribution_matches_direct_count():
     n = 9
-    direct = {}
+    direct = np.zeros(2 * n * n + 1, dtype=np.int64)
     for a in range(-n, n + 1):
         for b in range(-n, n + 1):
-            direct[a * b] = direct.get(a * b, 0) + 1
-    assert product_distribution(n) == direct
+            direct[a * b + n * n] += 1
+    assert np.array_equal(product_distribution(n), direct)
 
 
 def test_product_distribution_chunking_boundary():
-    # Chunked and unchunked paths must agree; n = 2001 forces several chunks.
+    # n = 2001: 8,008,003 entries; the products 1 and n^2 have two
+    # representations each.
     n = 2001
-    dist = product_distribution(n)
-    assert sum(dist.values()) == (2 * n + 1) ** 2
-    assert dist[1] == 2  # (1,1) and (-1,-1)
-    assert dist[n * n] == 2
+    counts = product_distribution(n)
+    assert counts.sum() == (2 * n + 1) ** 2
+    assert counts[1 + n * n] == 2  # (1,1) and (-1,-1)
+    assert counts[2 * n * n] == 2  # (n,n) and (-n,-n)
 
 
 # --- exact summation ----------------------------------------------------------

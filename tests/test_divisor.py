@@ -118,6 +118,21 @@ def test_r_table_budget_refusal():
         r_table(500, WorkBudget(10**6))
 
 
+def test_r_table_charges_its_digits_before_building_the_counts(monkeypatch):
+    # (2N^2 + 1) digit groups of len(str(r_N(0))) digits each.
+    n = 40
+    charge = (2 * n * n + 1) * len(str(r_zero(n)))
+    assert r_table(n, WorkBudget(charge)) == r_table(n)
+
+    def unexpected(n):
+        raise AssertionError("product_distribution ran")
+
+    monkeypatch.setattr(divisor, "product_distribution", unexpected)
+    with pytest.raises(BudgetExceeded) as exc:
+        r_table(n, WorkBudget(charge - 1))
+    assert exc.value.states == charge
+
+
 def test_r_table_past_the_transform_cap_raises_value_error(monkeypatch):
     # The product width 2N^2 passes the dense transform's fixed memory cap
     # at N = 1001; the refusal comes before the product distribution is
@@ -374,8 +389,7 @@ def _seeded_set(seed, size, bound):
         pytest.param("_dense_correlation", _seeded_set(1, 30, 40), id="dense-30-in-40"),
         pytest.param("_dense_correlation", list(range(1, 25)), id="dense-1-to-24"),
         # wide span, every product within int64: the sort on exact
-        # differences, except for the 12 values in 2e9, whose products span
-        # 8e18, past the fingerprint prime P, and are sorted on residues
+        # differences (the 12 values in 2e9 have products spanning 8e18)
         pytest.param("_fingerprint_pair_sums", [-7, -2, 1, 3, 4, 9, 12], id="int64-7-small"),
         pytest.param("_fingerprint_pair_sums", _seeded_set(2, 25, 10**6), id="int64-25-in-1e6"),
         pytest.param(
@@ -407,6 +421,24 @@ def test_fingerprint_route_separates_forced_collisions(routes_taken):
     assert set(routes_taken) == {"_fingerprint_pair_sums"}
 
 
+def test_int64_spans_sort_on_exact_keys(monkeypatch):
+    # Products spanning past the fingerprint prime P but below 2^63 are
+    # sorted on the exact keys m - lo, not on residues mod P.
+    vals = _seeded_set(3, 12, 2 * 10**9)
+    products = sorted({a * b for a in vals for b in vals})
+    assert divisor._FINGERPRINT_PRIME < products[-1] - products[0] < 2**63
+    keys = []
+    inner = divisor._pair_differences
+
+    def spy(values, weights):
+        keys.append(values.tolist())
+        return inner(values, weights)
+
+    monkeypatch.setattr(divisor, "_pair_differences", spy)
+    assert lemma61_check(vals) == naive_correlation_stats(vals)
+    assert keys == [[m - products[0] for m in products]]
+
+
 def naive_pair_sums(values, weights):
     """{h: r(h)} for h > 0 by a double loop over the distinct values."""
     sums = Counter()
@@ -419,16 +451,20 @@ def naive_pair_sums(values, weights):
 @pytest.mark.parametrize(
     "values",
     [
-        # hi - lo = P: the keys are residues, and the differences 1, P - 1
-        # and P have the distinct residues 1, P - 1 and 0
+        # around the fingerprint prime P the keys are exact int64; mod P the
+        # differences P and P + 1 would fall to 0 and 1
         [0, 1, divisor._FINGERPRINT_PRIME],
-        # hi - lo = P + 1: the differences 1 and P + 1 share the residue 1,
-        # so their bucket must be split by the exact comparison
         [0, 1, divisor._FINGERPRINT_PRIME + 1],
-        # hi - lo = P - 1: the keys are the exact differences
         [0, 1, divisor._FINGERPRINT_PRIME - 1],
+        # hi - lo = 2^63 - 1: the largest span with exact int64 keys
+        [0, 1, 2**63 - 1],
+        # hi - lo = 2^63: the keys are residues mod P (2^63 = 4P + 124)
+        [0, 1, 2**63],
+        # hi - lo = 5P + 1 > 2^63: the differences 1 and 5P + 1 share the
+        # residue 1, so their bucket must be split by the exact comparison
+        [0, 1, 5 * divisor._FINGERPRINT_PRIME + 1],
     ],
-    ids=["width-P", "width-P+1", "width-P-1"],
+    ids=["width-P", "width-P+1", "width-P-1", "width-2^63-1", "width-2^63", "width-5P+1"],
 )
 def test_sort_at_the_exactness_boundary(values):
     weights = np.array([3, 5, 7], dtype=np.int64)

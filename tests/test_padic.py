@@ -9,13 +9,13 @@ import pytest
 from commucount.errors import BudgetExceeded, NotPrime
 from commucount.oracle import (
     WorkBudget,
+    brute_degenerate_padic,
     brute_padic_solutions,
     brute_valuation_classes,
 )
 from commucount.padic import (
     PadicParams,
     PadicBreakdown,
-    degenerate_padic_count,
     density_deviation,
     fast_padic_count,
     inclusion_exclusion_breakdown,
@@ -33,9 +33,34 @@ def test_params_validation():
         PadicParams(1, 1)
     with pytest.raises(ValueError):
         PadicParams(2, 0)
-    with pytest.raises(ValueError):
-        PadicParams(2, 64)
     assert PadicParams(3, 2).q == 9
+    # q below 2^2048, checked without building a huge q
+    assert PadicParams(2, 2047).q == 2**2047
+    for n in (2048, 10**12):
+        with pytest.raises(ValueError, match="2\\^2048"):
+            PadicParams(2, n)
+    with pytest.raises(ValueError):
+        PadicParams(2**61 - 1, 34)
+
+
+def test_closed_forms_past_int64():
+    # The closed forms are Python integers, so q = 2^64 and 2^65 are fine.
+    for n in (64, 65):
+        params = PadicParams(2, n)
+        assert fast_padic_count(params) == 2 ** (2 * n) * valuation_classes_fast(params).total()
+    assert density_deviation(PadicParams(2, 64)) == Fraction(1, 2**64)
+    assert density_deviation(PadicParams(2, 65)) == Fraction(1, 2**68)
+
+
+def test_oracle_refuses_moduli_past_int64_cross_products():
+    # q^2 >= 2^63 would overflow the oracle's int64 cross products: a
+    # ValueError whatever the budget; q = 2^31 is only over budget.
+    for budget in (None, WorkBudget(10**400)):
+        for oracle in (brute_padic_solutions, brute_degenerate_padic, brute_valuation_classes):
+            with pytest.raises(ValueError, match="q\\^2 < 2\\^63"):
+                oracle(2, 32, budget)
+    with pytest.raises(BudgetExceeded):
+        brute_padic_solutions(2, 31)
 
 
 @pytest.mark.parametrize(
@@ -155,23 +180,23 @@ def test_density_deviation_inside_stated_envelope():
 
 
 def test_degenerate_count_examples():
-    assert degenerate_padic_count(PadicParams(2, 1)) == 20
-    assert degenerate_padic_count(PadicParams(2, 2)) == 304
-    assert degenerate_padic_count(PadicParams(3, 1)) == 81
-    assert degenerate_padic_count(PadicParams(5, 1)) == 425
+    assert brute_degenerate_padic(2, 1) == 20
+    assert brute_degenerate_padic(2, 2) == 304
+    assert brute_degenerate_padic(3, 1) == 81
+    assert brute_degenerate_padic(5, 1) == 425
 
 
 def test_degenerate_stays_under_bound():
     # count^2 <= 16 n^4 q^7, the integer form of count <= 4 n^2 q^{7/2}.
     for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)):
-        c = degenerate_padic_count(PadicParams(p, n))
+        c = brute_degenerate_padic(p, n)
         q = p**n
         assert c * c <= 16 * n**4 * q**7
 
 
 def test_degenerate_budget_passthrough():
     with pytest.raises(BudgetExceeded):
-        degenerate_padic_count(PadicParams(2, 4), WorkBudget(10**5))
+        brute_degenerate_padic(2, 4, WorkBudget(10**5))
 
 
 def test_densities_monotone_in_n():
