@@ -392,12 +392,18 @@ def cache_lookup(command: str, params: dict) -> dict | None:
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
+                entry = None
+            # A line that parses but is not an object, or whose result is
+            # not one, is as corrupt as one that does not parse.
+            if not isinstance(entry, dict) or (
+                entry.get("key") == key and not isinstance(entry.get("result"), dict)
+            ):
                 if not warned:
                     print("warning: skipping corrupt cache lines", file=sys.stderr)
                     warned = True
                 continue
             if entry.get("key") == key:
-                hit = entry.get("result")
+                hit = entry["result"]
     return hit
 
 

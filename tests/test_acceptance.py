@@ -4,12 +4,13 @@ criterion (visible with ``pytest -s`` or in any failure report; ``pytest -v``
 additionally shows one test per criterion).
 
 Runtime is dominated by the p-adic oracle sweep (criterion 6, every modulus
-with p^6n <= 10^9) and the size-500 progression correlations (criterion 11);
-the whole battery is a couple of minutes single-core.  Criterion 9 repeats
-the 3x3 classification at N = 2 only when COMMUCOUNT_ACCEPT_FULL=1 is set:
-that point classifies 22369 orbit representatives (~25 s on one core) and
-checks their total against the oracle, which enumerates
-5^9 * (5^5 + 5^4) ~ 7.3e9 states (~5 min on one core).
+with p^6n <= 10^9, ~5 s) and the size-500 progression correlations
+(criterion 11, ~4 s); the whole battery takes about 10 s single-core.
+Criterion 9 repeats the 3x3 classification at N = 2 only when
+COMMUCOUNT_ACCEPT_FULL=1 is set: that point classifies 22369 orbit
+representatives (~25 s on one core) and checks their total against the
+oracle, which enumerates 5^9 * (5^5 + 5^4) ~ 7.3e9 states (~5 min on one
+core).
 """
 
 import os
@@ -78,7 +79,8 @@ def test_criterion_06_padic_exact():
     # fast count = p^2n * brute count on every modulus with p^6n <= 10^9,
     # including (2,1) -> 88 and (2,2) -> 6400
     res = check(criterion_padic_exact(limit=10**9))
-    assert res.details["moduli_checked"] >= 13
+    assert res.details["moduli_checked"] == 17
+    assert res.details["largest"] == [31, 1]
 
 
 def test_criterion_07_density_main_term():

@@ -371,6 +371,25 @@ def test_corrupt_cache_lines_are_skipped_with_warning(capsys, isolated_cache):
     assert json_lines(out)[0]["value"] == str(count_commuting_2x2(9))
 
 
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "null", "{key}"])
+def test_cache_lines_that_are_not_objects_are_skipped_with_warning(
+    capsys, isolated_cache, line
+):
+    """Valid JSON that is not an object (or a matching entry whose result is
+    not one) is a corrupt line, not a crash."""
+    from commucount import count_commuting_2x2
+
+    run_cli(capsys, "count2", "--n", "9")
+    cache_file = isolated_cache / "results.jsonl"
+    stored = json.loads(cache_file.read_text())
+    bad = json.dumps({"key": stored["key"], "result": 5}) if line == "{key}" else line
+    cache_file.write_text(cache_file.read_text() + bad + "\n")
+    code, out, err = run_cli(capsys, "count2", "--n", "9")
+    assert code == 0
+    assert err.count("corrupt") == 1
+    assert json_lines(out)[0]["value"] == str(count_commuting_2x2(9))
+
+
 def test_cache_last_write_wins(capsys, isolated_cache):
     run_cli(capsys, "count2", "--n", "11")
     cache_file = isolated_cache / "results.jsonl"

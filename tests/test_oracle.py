@@ -12,8 +12,12 @@ from commucount.errors import BudgetExceeded, NotPrime, UnsupportedDimension
 from commucount.oracle import (
     _BLOCK_KEYS,
     MeetInMiddle3,
+    _commuting_2x2_pairs,
     _count3_range,
+    _entry_dtype,
     _parallel_over_a,
+    _residue_dtype,
+    _residue_pairs,
     WorkBudget,
     a_rows,
     brute_commuting_count,
@@ -25,13 +29,7 @@ from commucount.oracle import (
     resolve_threads,
     states_3x3,
 )
-
-
-def matmul3(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
+from commucount.verify import _padic_gate
 
 
 def test_grid_tuples_shape_and_order():
@@ -43,14 +41,7 @@ def test_grid_tuples_shape_and_order():
 
 
 def test_brute_2x2_against_plain_loops():
-    """Re-derive c_2(1) with nothing but range() and lists."""
-    mats = [
-        ((a, b), (c, d))
-        for a in (-1, 0, 1)
-        for b in (-1, 0, 1)
-        for c in (-1, 0, 1)
-        for d in (-1, 0, 1)
-    ]
+    """Re-derive c_2(0) and c_2(1) with nothing but range() and lists."""
 
     def mul(x, y):
         return tuple(
@@ -58,9 +49,44 @@ def test_brute_2x2_against_plain_loops():
             for i in range(2)
         )
 
-    expected = sum(1 for A in mats for B in mats if mul(A, B) == mul(B, A))
-    assert expected == 817
-    assert brute_commuting_count(2, 1) == 817
+    for n, want in ((0, 1), (1, 817)):
+        axis = range(-n, n + 1)
+        mats = [((a, b), (c, d)) for a in axis for b in axis for c in axis for d in axis]
+        expected = sum(1 for A in mats for B in mats if mul(A, B) == mul(B, A))
+        assert expected == want
+        assert brute_commuting_count(2, n) == expected
+
+
+def test_brute_2x2_pinned_before_the_filter_first_kernel():
+    # Recorded from the kernel that tested all four entries on every pair.
+    assert [brute_commuting_count(2, n) for n in range(5)] == [1, 817, 12465, 68673, 254657]
+
+
+def tuples_over(vals, k):
+    """Every k-tuple over `vals`, one row per coordinate."""
+    return np.array(np.meshgrid(*[vals] * k, indexing="ij")).reshape(k, -1)
+
+
+def test_2x2_kernel_at_the_largest_int16_entries():
+    """Full enumeration at n = 90 is out of reach, so the kernel is fed the
+    extreme entries directly and compared with Python-int arithmetic."""
+    n = 90
+    assert _entry_dtype(n) == np.int16 and _entry_dtype(n + 1) == np.int64
+    assert 4 * n * n <= np.iinfo(np.int16).max < 4 * (n + 1) ** 2
+    t = tuples_over((-n, -n + 1, 0, n - 1, n), 4)
+    a = t.astype(np.int16)
+    i, j = _commuting_2x2_pairs(a[:, :200], a)
+    got = set(zip(i.tolist(), j.tolist()))
+    cols = t.T.tolist()
+    want = set()
+    for r, (a1, a2, a3, a4) in enumerate(cols[:200]):
+        for c, (b1, b2, b3, b4) in enumerate(cols):
+            ab = (a1 * b1 + a2 * b3, a1 * b2 + a2 * b4, a3 * b1 + a4 * b3, a3 * b2 + a4 * b4)
+            ba = (b1 * a1 + b2 * a3, b1 * a2 + b2 * a4, b3 * a1 + b4 * a3, b3 * a2 + b4 * a4)
+            if ab == ba:
+                want.add((r, c))
+    assert got == want
+    assert len(want) > 200  # the scalar matrices alone commute with everything
 
 
 def test_brute_counts_at_n0():
@@ -94,6 +120,20 @@ def test_states_3x3_accounting():
     assert states_3x3(1) == side**9 * (side**5 + side**4)
 
 
+def commuting_by_scan(a_flat):
+    """Mask over grid_tuples(1, 9): which B in the N = 1 box commute with A,
+    by a literal vectorized AB == BA scan over all 3^9 B."""
+    bs = grid_tuples(1, 9).reshape(-1, 3, 3)
+    a = a_flat.reshape(3, 3)
+    commutes = np.einsum("ij,bjk->bik", a, bs) == np.einsum("bij,jk->bik", bs, a)
+    return commutes.all(axis=(1, 2))
+
+
+def commuting_counts_by_scan(a_flats):
+    """For each A, the number of B in the N = 1 box with AB == BA."""
+    return [int(commuting_by_scan(a_flat).sum()) for a_flat in a_flats]
+
+
 def test_meet_in_middle_partners_match_direct_scan():
     """For a sample of A's at N = 1, the meet-in-the-middle join must return
     exactly the B's a literal AB == BA scan finds."""
@@ -103,28 +143,10 @@ def test_meet_in_middle_partners_match_direct_scan():
     sample = rng.integers(0, 3**9, size=12)
     for a_id in sample:
         a_flat = a_rows(1, [int(a_id)])[0]
-        a = a_flat.reshape(3, 3).tolist()
-        direct = {
-            tuple(bf.tolist())
-            for bf in all_b
-            if matmul3(a, bf.reshape(3, 3).tolist())
-            == matmul3(bf.reshape(3, 3).tolist(), a)
-        }
+        direct = {tuple(b) for b in all_b[commuting_by_scan(a_flat)].tolist()}
         partners = {tuple(row.tolist()) for row in mim.partners_for_a(a_flat)}
         assert partners == direct
         assert mim.count_for_a(a_flat) == len(direct)
-
-
-def commuting_counts_by_scan(a_flats):
-    """For each A, the number of B in the N = 1 box with AB == BA, by a
-    literal vectorized scan over all 3^9 B."""
-    bs = grid_tuples(1, 9).reshape(-1, 3, 3)
-    out = []
-    for a_flat in a_flats:
-        a = a_flat.reshape(3, 3)
-        commutes = np.einsum("ij,bjk->bik", a, bs) == np.einsum("bij,jk->bik", bs, a)
-        out.append(int(commutes.all(axis=(1, 2)).sum()))
-    return out
 
 
 @pytest.mark.parametrize("n, lo, rows", [(1, 0, 40), (1, 9000, 300), (2, 123456, 600)])
@@ -241,6 +263,102 @@ def test_padic_rejects_bad_params():
 def test_degenerate_is_a_subset_count():
     for p, n in ((2, 1), (3, 1), (2, 2)):
         assert brute_degenerate_padic(p, n) <= brute_padic_solutions(p, n)
+
+
+def _residue_oracles_by_loops(p, n):
+    """The three residue oracles' values from one pure-Python six-fold loop:
+    (solutions, degenerate solutions, {h: solutions with min valuation h})."""
+    q = p**n
+
+    def v(x):
+        k = 0
+        while k < n and x % p ** (k + 1) == 0:
+            k += 1
+        return k
+
+    total = degenerate = 0
+    classes = dict.fromkeys(range(n + 1), 0)
+    r = range(q)
+    for x2 in r:
+        for x3 in r:
+            for x4 in r:
+                for y2 in r:
+                    for y3 in r:
+                        for y4 in r:
+                            if (
+                                (x2 * y3 - x3 * y2) % q
+                                or (x2 * y4 - x4 * y2) % q
+                                or (x3 * y4 - x4 * y3) % q
+                            ):
+                                continue
+                            total += 1
+                            degenerate += (x2 * y3) % q == 0 and (x3 * y2) % q == 0
+                            classes[min(map(v, (x2, x3, x4, y2, y3, y4)))] += 1
+    return total, degenerate, classes
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_residue_oracles_against_six_fold_loops(p, n):
+    total, degenerate, classes = _residue_oracles_by_loops(p, n)
+    assert brute_padic_solutions(p, n) == total
+    assert brute_degenerate_padic(p, n) == degenerate
+    assert brute_valuation_classes(p, n).classes == classes
+
+
+# Recorded from the kernel that tested all three cross products on every
+# pair: (solutions, degenerate solutions, valuation classes) on every modulus
+# of criterion 6's sweep with q^6 <= 10^7.
+PINNED_RESIDUE_COUNTS = {
+    (2, 1): (22, 20, [21, 1]),
+    (2, 2): (400, 304, [336, 63, 1]),
+    (2, 3): (6784, 4032, [5376, 1344, 63, 1]),
+    (3, 1): (105, 81, [104, 1]),
+    (3, 2): (9153, 4617, [8424, 728, 1]),
+    (5, 1): (745, 425, [744, 1]),
+    (7, 1): (2737, 1225, [2736, 1]),
+    (11, 1): (15961, 4961, [15960, 1]),
+    (13, 1): (30745, 8281, [30744, 1]),
+}
+
+
+def test_residue_oracles_pinned_before_the_filter_first_kernel():
+    gate = [(p, n) for p, n in _padic_gate(10**9) if p ** (6 * n) <= 10**7]
+    assert sorted(gate) == sorted(PINNED_RESIDUE_COUNTS)
+    for (p, n), (total, degenerate, classes) in PINNED_RESIDUE_COUNTS.items():
+        assert brute_padic_solutions(p, n) == total
+        assert brute_degenerate_padic(p, n) == degenerate
+        assert brute_valuation_classes(p, n).classes == dict(enumerate(classes))
+
+
+def test_residue_dtype_boundaries():
+    assert _residue_dtype(181) == np.int16 and _residue_dtype(182) == np.int32
+    assert _residue_dtype(46340) == np.int32 and _residue_dtype(46341) == np.int64
+    assert _residue_dtype(3037000499) == np.int64
+    with pytest.raises(ValueError):
+        _residue_dtype(3037000500)  # q^2 >= 2^63
+
+
+@pytest.mark.parametrize("q", [181, 46340, 3037000499])
+@pytest.mark.parametrize("degenerate_only", [False, True])
+def test_residue_kernel_at_the_largest_residues_of_each_dtype(q, degenerate_only):
+    """Full enumeration at these moduli is out of reach, so the kernel is fed
+    the extreme residues directly, in the dtype the oracle would pick, and
+    compared with Python-int arithmetic."""
+    t = tuples_over((0, 1, 2, q - 2, q - 1), 3)
+    x = t.astype(_residue_dtype(q))
+    i, j = _residue_pairs(x, x, q, degenerate_only)
+    got = set(zip(i.tolist(), j.tolist()))
+    cols = t.T.tolist()
+    want = set()
+    for r, (x2, x3, x4) in enumerate(cols):
+        for c, (y2, y3, y4) in enumerate(cols):
+            ok = all(e % q == 0 for e in (x2 * y3 - x3 * y2, x2 * y4 - x4 * y2, x3 * y4 - x4 * y3))
+            if degenerate_only:
+                ok = ok and (x2 * y3) % q == 0 and (x3 * y2) % q == 0
+            if ok:
+                want.add((r, c))
+    assert got == want
+    assert len(want) >= len(cols)  # every triple is collinear with itself
 
 
 def test_valuation_classes_sum_to_total():
