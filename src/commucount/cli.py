@@ -3,9 +3,12 @@
 Every invocation prints machine-readable result lines: JSON objects (one per
 line) or CSV rows with --format csv.  Counts and exact ratios are rendered as
 strings -- many values exceed what a double can hold -- so the "value" field
-always round-trips exactly.  Successful single-value commands are cached in
-an append-only JSON-lines file keyed by (command, canonical params, package
-version); a hit replays the stored result verbatim.
+always round-trips exactly.  Each command takes --format and only the other
+shared options its handler reads: --budget (_BUDGETED_COMMANDS; the verify
+suites fix their own), --threads (_THREADED_COMMANDS) and --no-cache
+(_CACHED_COMMANDS, whose single-value results are appended to a JSON-lines
+file keyed by command, canonical params and package version; a hit replays
+the stored result verbatim).
 
 Exit codes: 0 success, 1 failed verification criterion, 2 usage error,
 3 work-budget refusal, 4 internal invariant violated (a defect, not bad
@@ -51,6 +54,8 @@ from .rank3 import classify_commuting_3x3, inconsistency_demo_4x4, lower_bound_c
 from .verify import run_suite
 
 _CACHED_COMMANDS = {"count2", "count3", "padic", "divisor", "moments", "dx", "lowerbound"}
+_BUDGETED_COMMANDS = {"count2", "count3", "padic", "divisor", "moments", "doubling"}
+_THREADED_COMMANDS = {"count3", "verify"}
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -72,12 +77,6 @@ def _pos_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--no-cache", action="store_true")
-    common.add_argument("--budget", type=_pos_int, default=None, metavar="STATES")
-    common.add_argument("--threads", type=_pos_int, default=None)
-
     parser = argparse.ArgumentParser(
         prog="commucount",
         description="Exact counts and diagnostics for commuting integer matrix pairs.",
@@ -85,48 +84,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count2", parents=[common], help="2x2 commuting-pair count")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name in _CACHED_COMMANDS:
+            p.add_argument("--no-cache", action="store_true")
+        if name in _BUDGETED_COMMANDS:
+            p.add_argument("--budget", type=_pos_int, default=None, metavar="STATES")
+        if name in _THREADED_COMMANDS:
+            p.add_argument("--threads", type=_pos_int, default=None)
+        return p
+
+    p = command("count2", "2x2 commuting-pair count")
     p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--split", action="store_true")
 
-    p = sub.add_parser("count3", parents=[common], help="3x3 commuting-pair count (brute)")
+    p = command("count3", "3x3 commuting-pair count (brute)")
     p.add_argument("--n", type=_nonneg_int, required=True)
     p.add_argument("--classify", action="store_true")
 
-    p = sub.add_parser("padic", parents=[common], help="counts over Z/p^n")
+    p = command("padic", "counts over Z/p^n")
     p.add_argument("--p", type=_pos_int, required=True)
     p.add_argument("--n", type=_pos_int, required=True)
     p.add_argument(
         "--method", choices=("fast", "brute", "classes", "degenerate"), default="fast"
     )
 
-    p = sub.add_parser("divisor", parents=[common], help="restricted divisor correlation r_N(h)")
+    p = command("divisor", "restricted divisor correlation r_N(h)")
     p.add_argument("--n", type=_pos_int, required=True)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--h", type=int, default=None)
     grp.add_argument("--all", action="store_true")
     grp.add_argument("--zero", action="store_true")
 
-    p = sub.add_parser("moments", parents=[common], help="moments of the correlation table")
+    p = command("moments", "moments of the correlation table")
     p.add_argument("--n", type=_pos_int, required=True)
     p.add_argument("--k", type=_pos_int, required=True)
 
-    p = sub.add_parser("dx", parents=[common], help="classical divisor correlation")
+    p = command("dx", "classical divisor correlation")
     p.add_argument("--x", type=_pos_int, required=True)
     p.add_argument("--h", type=_pos_int, required=True)
 
-    p = sub.add_parser("doubling", parents=[common], help="sumset statistics of a finite set")
+    p = command("doubling", "sumset statistics of a finite set")
     p.add_argument("--set-file", required=True)
     p.add_argument("--lemma61", action="store_true")
 
-    p = sub.add_parser("lowerbound", parents=[common], help="certified commuting-count lower bound")
+    p = command("lowerbound", "certified commuting-count lower bound")
     p.add_argument("--d", type=int, choices=(2, 3), required=True)
     p.add_argument("--n", type=_nonneg_int, required=True)
 
-    p = sub.add_parser("demo4x4", parents=[common], help="4x4 infeasible-system demonstration")
+    p = command("demo4x4", "4x4 infeasible-system demonstration")
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = command("verify", "run a verification suite")
     p.add_argument("--suite", choices=("quick", "full"), required=True)
 
     return parser
@@ -275,7 +285,7 @@ def _cmd_demo4x4(args, budget) -> list[dict]:
     return [_result("demo4x4", params, str(first["seventh_y"]), diagnostics)]
 
 
-def _cmd_verify(args, budget) -> tuple[list[dict], int]:
+def _cmd_verify(args) -> tuple[list[dict], int]:
     results = []
     failed = []
     last = time.monotonic()
@@ -422,13 +432,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
-    budget = WorkBudget(args.budget) if args.budget else WorkBudget()
     try:
         if args.command == "verify":
-            results, code = _cmd_verify(args, budget)
+            results, code = _cmd_verify(args)
             _render(results, args.format)
             return code
 
+        # Handlers of commands without --budget ignore the default budget.
+        budget = WorkBudget(args.budget) if getattr(args, "budget", None) else WorkBudget()
         params_for_key = None
         handler = _HANDLERS[args.command]
         if args.command in _CACHED_COMMANDS and not args.no_cache:

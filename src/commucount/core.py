@@ -310,20 +310,20 @@ def zeta_value(s: int, digits: int = 40) -> Decimal:
         return +total
 
 
-def main_term_constant_2x2(digits: int = 40) -> Decimal:
-    """The constant in the leading (2N)^5 term of the 2x2 commuting count:
-    10*zeta(2) / (3*zeta(3)) = 4.5614425920673529..."""
+def main_term_constant_2x2() -> Decimal:
+    """10*zeta(2) / (3*zeta(3)) = 4.5614425920673529... to 40 digits: the
+    constant in the leading (2N)^5 term of the 2x2 commuting count."""
     with localcontext() as ctx:
-        ctx.prec = digits
-        return 10 * zeta_value(2, digits + 10) / (3 * zeta_value(3, digits + 10))
+        ctx.prec = 40
+        return 10 * zeta_value(2, 50) / (3 * zeta_value(3, 50))
 
 
-def dependent_pair_constant(digits: int = 40) -> Decimal:
-    """16/zeta(2) = 9.7268336..., the N^2 log N coefficient in the count of
-    linearly dependent vector pairs (the h = 0 autocorrelation value)."""
+def dependent_pair_constant() -> Decimal:
+    """16/zeta(2) = 9.7268336... to 40 digits: the N^2 log N coefficient in
+    the count of linearly dependent vector pairs (r_N(0))."""
     with localcontext() as ctx:
-        ctx.prec = digits
-        return 16 / zeta_value(2, digits + 10)
+        ctx.prec = 40
+        return 16 / zeta_value(2, 50)
 
 
 def pairwise_fraction_sum(values: Iterable[Fraction]) -> Fraction:

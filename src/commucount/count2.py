@@ -155,14 +155,14 @@ def count_commuting_2x2_by_direction(n: int) -> int:
     return total
 
 
-def normalized_count_2x2(n: int, digits: int = 40, count: int | None = None) -> Decimal:
-    """count_commuting_2x2(n) / (2n)^5 as a high-precision decimal; tends to
-    the main-term constant 4.5614425920673529... as n grows.  A `count`
-    already in hand is used instead of recomputing it."""
+def normalized_count_2x2(n: int, count: int | None = None) -> Decimal:
+    """count_commuting_2x2(n) / (2n)^5 as a 40-digit decimal; tends to the
+    main-term constant 4.5614425920673529... as n grows.  A `count` already
+    in hand is used instead of recomputing it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if count is None:
         count = count_commuting_2x2(n)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 40
         return Decimal(count) / Decimal(2 * n) ** 5

@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -473,12 +473,10 @@ def parse_set_file(path: str) -> FiniteRealSet:
                 raise ValueError(f"{path}:{lineno}: bad entry {token!r}") from exc
     if not values:
         raise ValueError(f"{path}: no elements")
-    seen: set[Fraction] = set()
-    for v in values:
-        if v in seen:
-            raise ValueError(f"{path}: duplicate element {v}")
-        seen.add(v)
-    return FiniteRealSet.from_values(values)
+    try:
+        return FiniteRealSet.from_values(values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _scaled_integers(aset: FiniteRealSet) -> tuple[list[int], int]:
@@ -510,21 +508,12 @@ def r_set(aset: SetLike, target: Union[int, Fraction]) -> int:
     return sum(c * counts.get(m - t, 0) for m, c in counts.items())
 
 
-class DoublingReport:
+class DoublingReport(NamedTuple):
     """|A|, |A+A| and the doubling ratio |A+A|/|A| of a finite set."""
 
-    __slots__ = ("size", "sumset_size", "ratio")
-
-    def __init__(self, size: int, sumset_size: int):
-        self.size = size
-        self.sumset_size = sumset_size
-        self.ratio = Fraction(sumset_size, size)
-
-    def __repr__(self) -> str:
-        return (
-            f"DoublingReport(size={self.size}, sumset_size={self.sumset_size}, "
-            f"ratio={self.ratio})"
-        )
+    size: int
+    sumset_size: int
+    ratio: Fraction
 
 
 def doubling_report(aset: SetLike) -> DoublingReport:
@@ -533,7 +522,7 @@ def doubling_report(aset: SetLike) -> DoublingReport:
         raise ValueError("doubling_report supports sets of at most 2000 elements")
     ints, _ = _scaled_integers(aset)
     sums = {a + b for a in ints for b in ints}
-    return DoublingReport(len(ints), len(sums))
+    return DoublingReport(len(ints), len(sums), Fraction(len(sums), len(ints)))
 
 
 def lemma61_check(aset: SetLike, budget: WorkBudget | None = None) -> dict[str, int]:

@@ -187,18 +187,25 @@ class MeetInMiddle3:
     `max_rows` keeps the keys below 2^63 and a block near _BLOCK_KEYS
     keys."""
 
-    def __init__(self, n: int):
+    @staticmethod
+    def key_base(n: int) -> int:
+        """2 * 6n^2 + 1, as each half adds at most 6n^2 in absolute value to
+        an equation: the keys' radix.  ValueError for n >= 5, where base^8
+        reaches 2^63."""
         if n < 0:
             raise ValueError("n must be >= 0")
+        base = 12 * n * n + 1
+        if base**8 >= 2**63:
+            raise ValueError(f"n={n} overflows the int64 key packing")
+        return base
+
+    def __init__(self, n: int):
+        base = self.key_base(n)
+        off = base // 2
         self.n = n
         self.side = 2 * n + 1
         self.h1 = grid_tuples(n, 5)
         self.h2 = grid_tuples(n, 4)
-        # Each half contributes at most 6n^2 in absolute value per equation.
-        off = 6 * n * n
-        base = 2 * off + 1
-        if base**8 >= 2**63:
-            raise ValueError(f"n={n} overflows the int64 key packing")
         pows = base ** np.arange(8, dtype=np.int64)
         # gmat[col, a] = sum_e pows[e] * (coefficient of a_flat[a] in the
         # col-th B-variable's coefficient within commutator entry e).

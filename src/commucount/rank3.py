@@ -393,10 +393,10 @@ def classify_commuting_3x3(
     both-diagonal pairs, (2n+1)^6 of them.
 
     The budget is charged 96 (2n+1)^9 states for the canonicalization, then
-    (2n+1)^5 + (2n+1)^4 per representative for the half tabulations.
+    (2n+1)^5 + (2n+1)^4 per representative for the half tabulations.  An n
+    past the oracle's key packing (n >= 5) is refused before either.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    MeetInMiddle3.key_base(n)
     budget = budget or WorkBudget()
     side = 2 * n + 1
     budget.require(len(orbit_group()[0]) * side**9, "3x3 orbit canonicalization")

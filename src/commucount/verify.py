@@ -411,35 +411,22 @@ def run_suite(suite: str, threads: int | None = None) -> Iterator[CriterionResul
     """Yield one result per criterion; `quick` stays under 10^8 enumeration
     states, `full` under 10^10 (the 3x3 classification at N = 2 dominates
     its runtime)."""
-    if suite == "quick":
-        budget = WorkBudget(10**8)
-        yield criterion_oracle_2x2(budget=budget)
-        yield criterion_main_term()
-        yield criterion_split()
-        yield criterion_r_table(budget=budget)
-        yield criterion_moments(ns=(20, 35, 50), budget=budget)
-        yield criterion_padic_exact(limit=10**8, budget=budget)
-        yield criterion_density_main()
-        yield criterion_lifting(budget=budget)
-        yield criterion_classification(ns=(1,), budget=budget, threads=threads)
-        yield criterion_lower_bounds(budget=budget, threads=threads)
-        yield criterion_sup_autocorrelation(gp_size=200, budget=budget)
-        yield criterion_demo_4x4()
-    elif suite == "full":
-        budget = WorkBudget(10**10)
-        yield criterion_oracle_2x2(budget=budget)
-        yield criterion_main_term()
-        yield criterion_split()
-        yield criterion_r_table(budget=budget)
-        yield criterion_moments(budget=budget)
-        yield criterion_padic_exact(limit=10**9, budget=budget)
-        yield criterion_density_main()
-        yield criterion_lifting(budget=budget)
-        yield criterion_classification(ns=(1, 2), budget=budget, threads=threads)
-        yield criterion_lower_bounds(budget=budget, threads=threads)
-        yield criterion_sup_autocorrelation(budget=budget)
-        yield criterion_demo_4x4()
+    if suite not in ("quick", "full"):
+        raise ValueError(f"unknown suite {suite!r}; expected 'quick' or 'full'")
+    full = suite == "full"
+    budget = WorkBudget(10**10 if full else 10**8)
+    yield criterion_oracle_2x2(budget=budget)
+    yield criterion_main_term()
+    yield criterion_split()
+    yield criterion_r_table(budget=budget)
+    yield criterion_moments(ns=(50, 100, 200) if full else (20, 35, 50), budget=budget)
+    yield criterion_padic_exact(limit=10**9 if full else 10**8, budget=budget)
+    yield criterion_density_main()
+    yield criterion_lifting(budget=budget)
+    yield criterion_classification(ns=(1, 2) if full else (1,), budget=budget, threads=threads)
+    yield criterion_lower_bounds(budget=budget, threads=threads)
+    yield criterion_sup_autocorrelation(gp_size=None if full else 200, budget=budget)
+    yield criterion_demo_4x4()
+    if full:
         yield extra_padic_deep(budget=budget)
         yield extra_partial_sum_float(budget=budget)
-    else:
-        raise ValueError(f"unknown suite {suite!r}; expected 'quick' or 'full'")

@@ -264,6 +264,100 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+# --- shared options -------------------------------------------------------------
+
+# A minimal invocation of every command, and the shared options it takes.
+COMMANDS = {
+    "count2": ["count2", "--n", "1"],
+    "count3": ["count3", "--n", "0"],
+    "padic": ["padic", "--p", "2", "--n", "1"],
+    "divisor": ["divisor", "--n", "2", "--h", "1"],
+    "moments": ["moments", "--n", "1", "--k", "2"],
+    "dx": ["dx", "--x", "10", "--h", "2"],
+    "doubling": ["doubling", "--set-file", "a.txt"],
+    "lowerbound": ["lowerbound", "--d", "2", "--n", "1"],
+    "demo4x4": ["demo4x4"],
+    "verify": ["verify", "--suite", "quick"],
+}
+SHARED = {
+    "--format": (["--format", "csv"], "format", "csv"),
+    "--no-cache": (["--no-cache"], "no_cache", True),
+    "--budget": (["--budget", "7"], "budget", 7),
+    "--threads": (["--threads", "3"], "threads", 3),
+}
+CACHED = {"count2", "count3", "padic", "divisor", "moments", "dx", "lowerbound"}
+TAKES = {
+    "--format": set(COMMANDS),
+    "--no-cache": CACHED,
+    "--budget": {"count2", "count3", "padic", "divisor", "moments", "doubling"},
+    "--threads": {"count3", "verify"},
+}
+
+
+def test_shared_option_table_has_25_of_40_pairs():
+    assert sum(len(commands) for commands in TAKES.values()) == 25
+    assert len(COMMANDS) * len(SHARED) == 40
+
+
+@pytest.mark.parametrize("option", sorted(SHARED))
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_takes_only_the_shared_options_it_reads(capsys, command, option):
+    from commucount.cli import build_parser
+
+    extra, dest, value = SHARED[option]
+    argv = COMMANDS[command] + extra
+    if command in TAKES[option]:
+        assert getattr(build_parser().parse_args(argv), dest) == value
+    else:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
+def test_cached_commands_keep_their_cache_keys(capsys, isolated_cache):
+    """The key of one invocation of each cached command, as stored before
+    the shared options were registered per command; old caches keep hitting."""
+    pinned = [
+        ("count2 --n 3 --split",
+         '{"command": "count2", "params": {"n": 3, "split": true}, "version": "V"}'),
+        ("count3 --n 0 --classify",
+         '{"command": "count3", "params": {"classify": true, "n": 0}, "version": "V"}'),
+        ("padic --p 3 --n 1 --method classes",
+         '{"command": "padic", "params": {"method": "classes", "n": 1, "p": 3}, "version": "V"}'),
+        ("divisor --n 2 --h 1",
+         '{"command": "divisor", "params": {"all": false, "h": 1, "n": 2, "zero": false}, '
+         '"version": "V"}'),
+        ("moments --n 1 --k 2",
+         '{"command": "moments", "params": {"k": 2, "n": 1}, "version": "V"}'),
+        ("dx --x 10 --h 2",
+         '{"command": "dx", "params": {"h": 2, "x": 10}, "version": "V"}'),
+        ("lowerbound --d 2 --n 1",
+         '{"command": "lowerbound", "params": {"d": 2, "n": 1}, "version": "V"}'),
+    ]
+    assert {argv.split()[0] for argv, _ in pinned} == CACHED
+    for argv, _ in pinned:
+        assert run_cli(capsys, *argv.split())[0] == 0
+    lines = (isolated_cache / "results.jsonl").read_text().splitlines()
+    keys = [json.loads(line)["key"] for line in lines]
+    assert keys == [key.replace('"V"', json.dumps(__version__)) for _, key in pinned]
+
+
+def test_verify_refuses_a_budget_before_running_a_criterion(capsys, monkeypatch):
+    import commucount.cli as cli
+
+    started = []
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: started.append(args))
+    code, out, err = run_cli(capsys, "verify", "--suite", "quick", "--budget", "1")
+    assert code == 2 and out == "" and started == []
+    assert "unrecognized arguments: --budget 1" in err
+
+
+def test_count3_classify_past_the_key_packing_exits_2_promptly():
+    proc = run_cli_process("count3", "--n", "5", "--classify", "--budget", "1000000000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: n=5 overflows the int64 key packing"]
+
+
 def test_budget_refusal_exits_3(capsys):
     code, _, err = run_cli(capsys, "count3", "--n", "2", "--budget", "100")
     assert code == 3

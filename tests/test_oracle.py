@@ -225,6 +225,10 @@ def test_interrupt_in_a_worker_terminates_the_pool(time_limit):
 def test_meet_in_middle_rejects_overflowing_n():
     with pytest.raises(ValueError):
         MeetInMiddle3(10**9)
+    # 193^8 < 2^63 <= 301^8: n = 4 is the largest box the keys pack.
+    assert MeetInMiddle3.key_base(4) == 193
+    with pytest.raises(ValueError, match="n=5 overflows"):
+        MeetInMiddle3.key_base(5)
 
 
 def test_a_batch_is_lexicographic():

@@ -243,6 +243,19 @@ def test_classification_budget_gate():
         classify_commuting_3x3(-1)
 
 
+def test_classification_refuses_n5_before_canonicalizing(monkeypatch, time_limit):
+    """n = 5 overflows the oracle's key packing; the refusal comes before
+    the 11^9 ids are canonicalized, whatever the budget."""
+    import commucount.rank3 as rank3
+
+    def started(n):
+        raise AssertionError("canonicalization started")
+
+    monkeypatch.setattr(rank3, "orbit_representatives", started)
+    with time_limit(10), pytest.raises(ValueError, match="n=5 overflows"):
+        classify_commuting_3x3(5, WorkBudget(10**12))
+
+
 def test_classification_charge_covers_the_states_visited(monkeypatch):
     """The budget is charged, before each phase, at least the states the
     phase visits: the 96 images of every A, then both half tabulations of
