@@ -6,9 +6,9 @@ strings -- many values exceed what a double can hold -- so the "value" field
 always round-trips exactly.  Each command takes --format and only the other
 shared options its handler reads: --budget (_BUDGETED_COMMANDS; the verify
 suites fix their own), --threads (_THREADED_COMMANDS) and --no-cache
-(_CACHED_COMMANDS, whose single-value results are appended to a JSON-lines
-file keyed by command, canonical params and package version; a hit replays
-the stored result verbatim).
+(_CACHED_COMMANDS, whose single-value results are stored one JSON file per
+key, named by the SHA-256 of command, canonical params and package version;
+a hit replays the stored result verbatim).
 
 Exit codes: 0 success, 1 failed verification criterion, 2 usage error,
 3 work-budget refusal, 4 internal invariant violated (a defect, not bad
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import fcntl
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -42,7 +42,8 @@ from .divisor import (
     r_zero,
 )
 from .errors import BudgetExceeded, InvariantViolation
-from .oracle import WorkBudget, brute_commuting_count, brute_degenerate_padic, brute_padic_solutions
+from .oracle import DEFAULT_MAX_STATES, WorkBudget
+from .oracle import brute_commuting_count, brute_degenerate_padic, brute_padic_solutions
 from .padic import (
     PadicParams,
     fast_padic_count,
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in _CACHED_COMMANDS:
             p.add_argument("--no-cache", action="store_true")
         if name in _BUDGETED_COMMANDS:
-            p.add_argument("--budget", type=_pos_int, default=None, metavar="STATES")
+            p.add_argument("--budget", type=_pos_int, default=DEFAULT_MAX_STATES, metavar="STATES")
         if name in _THREADED_COMMANDS:
             p.add_argument("--threads", type=_pos_int, default=None)
         return p
@@ -145,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 # --- command handlers ---------------------------------------------------------
 
 
-def _cmd_count2(args, budget) -> list[dict]:
+def _cmd_count2(args) -> list[dict]:
+    budget = WorkBudget(args.budget)
     params = {"n": args.n, "split": args.split}
     if args.split:
         split = gamma_split(args.n, budget)
@@ -164,7 +166,8 @@ def _cmd_count2(args, budget) -> list[dict]:
     return [_result("count2", params, str(value), diagnostics)]
 
 
-def _cmd_count3(args, budget) -> list[dict]:
+def _cmd_count3(args) -> list[dict]:
+    budget = WorkBudget(args.budget)
     params = {"n": args.n, "classify": args.classify}
     diagnostics: dict = {}
     if args.classify:
@@ -179,7 +182,8 @@ def _cmd_count3(args, budget) -> list[dict]:
     return [_result("count3", params, str(value), diagnostics)]
 
 
-def _cmd_padic(args, budget) -> list[dict]:
+def _cmd_padic(args) -> list[dict]:
+    budget = WorkBudget(args.budget)
     params = {"p": args.p, "n": args.n, "method": args.method}
     pp = PadicParams(args.p, args.n)
     diagnostics: dict = {}
@@ -205,7 +209,8 @@ def _cmd_padic(args, budget) -> list[dict]:
     return [_result("padic", params, str(value), diagnostics)]
 
 
-def _cmd_divisor(args, budget) -> list[dict]:
+def _cmd_divisor(args) -> list[dict]:
+    budget = WorkBudget(args.budget)
     if args.all:
         table = r_table(args.n, budget)
         return [
@@ -225,7 +230,8 @@ def _cmd_divisor(args, budget) -> list[dict]:
     return [_result("divisor", {"n": args.n, "h": args.h}, str(value), diagnostics)]
 
 
-def _cmd_moments(args, budget) -> list[dict]:
+def _cmd_moments(args) -> list[dict]:
+    budget = WorkBudget(args.budget)
     value = moment(args.n, args.k, budget)
     diagnostics = {
         "per_n_pow": value / args.n ** (2 * args.k + 2),
@@ -234,13 +240,14 @@ def _cmd_moments(args, budget) -> list[dict]:
     return [_result("moments", {"n": args.n, "k": args.k}, str(value), diagnostics)]
 
 
-def _cmd_dx(args, budget) -> list[dict]:
+def _cmd_dx(args) -> list[dict]:
     value = classic_divisor_correlation(args.x, args.h)
     diagnostics = {"per_x_log2x": value / (args.x * np.log(args.x) ** 2) if args.x > 1 else 0.0}
     return [_result("dx", {"x": args.x, "h": args.h}, str(value), diagnostics)]
 
 
-def _cmd_doubling(args, budget) -> list[dict]:
+def _cmd_doubling(args) -> list[dict]:
+    budget = WorkBudget(args.budget)
     aset = parse_set_file(args.set_file)
     report = doubling_report(aset)
     diagnostics: dict = {
@@ -256,7 +263,7 @@ def _cmd_doubling(args, budget) -> list[dict]:
     return [_result("doubling", params, _fraction_str(report.ratio), diagnostics)]
 
 
-def _cmd_lowerbound(args, budget) -> list[dict]:
+def _cmd_lowerbound(args) -> list[dict]:
     value = lower_bound_certificate(args.d, args.n)
     side = 2 * args.n + 1
     diagnostics = {
@@ -266,7 +273,7 @@ def _cmd_lowerbound(args, budget) -> list[dict]:
     return [_result("lowerbound", {"d": args.d, "n": args.n}, str(value), diagnostics)]
 
 
-def _cmd_demo4x4(args, budget) -> list[dict]:
+def _cmd_demo4x4(args) -> list[dict]:
     if args.seed is None:
         samples = [(0, 0, 0, 0, 0, 0, 0, 0)]
     else:
@@ -373,12 +380,13 @@ def _render(results: list[dict], fmt: str) -> None:
 # --- cache ----------------------------------------------------------------------
 
 
-def _cache_file() -> str:
+def _cache_path(key: str) -> str:
+    import hashlib
+
     root = os.environ.get("COMMUCOUNT_CACHE_DIR") or os.path.join(
         os.path.expanduser("~"), ".cache", "commucount"
     )
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, "results.jsonl")
+    return os.path.join(root, hashlib.sha256(key.encode()).hexdigest() + ".json")
 
 
 def _cache_key(command: str, params: dict) -> str:
@@ -388,41 +396,35 @@ def _cache_key(command: str, params: dict) -> str:
 
 
 def cache_lookup(command: str, params: dict) -> dict | None:
-    path = _cache_file()
-    if not os.path.exists(path):
-        return None
     key = _cache_key(command, params)
-    hit = None
-    warned = False
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                entry = None
-            # A line that parses but is not an object, or whose result is
-            # not one, is as corrupt as one that does not parse.
-            if not isinstance(entry, dict) or (
-                entry.get("key") == key and not isinstance(entry.get("result"), dict)
-            ):
-                if not warned:
-                    print("warning: skipping corrupt cache lines", file=sys.stderr)
-                    warned = True
-                continue
-            if entry.get("key") == key:
-                hit = entry["result"]
-    return hit
+    try:
+        with open(_cache_path(key), encoding="utf-8") as f:
+            entry = json.load(f)
+    except FileNotFoundError:
+        return None
+    except ValueError:  # not JSON, or not UTF-8
+        entry = None
+    # JSON that is not an object, holds another key or a non-object result is corrupt too.
+    if isinstance(entry, dict) and entry.get("key") == key and isinstance(entry.get("result"), dict):
+        return entry["result"]
+    print("warning: ignoring a corrupt cache entry", file=sys.stderr)
+    return None
 
 
 def cache_store(command: str, params: dict, result: dict) -> None:
-    entry = json.dumps({"key": _cache_key(command, params), "result": result}, sort_keys=True)
-    with open(_cache_file(), "a", encoding="utf-8") as f:
-        fcntl.flock(f, fcntl.LOCK_EX)
-        f.write(entry + "\n")
-        fcntl.flock(f, fcntl.LOCK_UN)
+    """Write the entry to a temporary file and rename it over the old one, so
+    a concurrent reader sees the old entry or the new one, never a mix."""
+    key = _cache_key(command, params)
+    path = _cache_path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            json.dump({"key": key, "result": result}, f, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -438,10 +440,7 @@ def main(argv: list[str] | None = None) -> int:
             _render(results, args.format)
             return code
 
-        # Handlers of commands without --budget ignore the default budget.
-        budget = WorkBudget(args.budget) if getattr(args, "budget", None) else WorkBudget()
         params_for_key = None
-        handler = _HANDLERS[args.command]
         if args.command in _CACHED_COMMANDS and not args.no_cache:
             # cache only single-result invocations (divisor --all streams)
             if not (args.command == "divisor" and args.all):
@@ -452,13 +451,13 @@ def main(argv: list[str] | None = None) -> int:
                     return 0
 
         start = time.monotonic()
-        results = handler(args, budget)
+        results = _HANDLERS[args.command](args)
         elapsed_ms = int((time.monotonic() - start) * 1000)
         for res in results:
             res["runtime_ms"] = elapsed_ms
+        _render(results, args.format)
         if params_for_key is not None and len(results) == 1:
             cache_store(args.command, params_for_key, results[0])
-        _render(results, args.format)
         return 0
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

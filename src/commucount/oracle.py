@@ -61,21 +61,12 @@ class ValuationClassCounts:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker-process count: explicit argument wins, then COMMUCOUNT_THREADS,
-    then the machine's CPU count."""
+    """Worker-process count: the explicit argument, else the machine's CPU
+    count."""
     if threads is not None:
         if threads < 1:
             raise ValueError("thread count must be >= 1")
         return threads
-    env = os.environ.get("COMMUCOUNT_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"COMMUCOUNT_THREADS={env!r} is not an integer") from exc
-        if value < 1:
-            raise ValueError("COMMUCOUNT_THREADS must be >= 1")
-        return value
     return os.cpu_count() or 1
 
 

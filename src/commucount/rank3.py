@@ -411,13 +411,19 @@ def classify_commuting_3x3(
 
 def lower_bound_E(d: int, n: int) -> int:
     """E_d(n) = sum over x in [-2n, 2n] of (2n+1-|x|)^d: the number of ways
-    to give two d-tuples in [-n, n]^d a common difference, exactly."""
+    to give two d-tuples in [-n, n]^d a common difference, exactly.  It is
+    (2n+1)^d + 2 * S_d(2n) with S_k(m) = sum_{u=1}^{m} u^k, and S_0..S_d
+    follow in O(d^2) exact steps from (m+1)^(k+1) - 1 = sum_{j<=k} C(k+1, j) S_j(m)."""
     if not 2 <= d <= 6:
         raise ValueError("d must lie in 2..6")
     if n < 0:
         raise ValueError("n must be >= 0")
-    side = 2 * n + 1
-    return sum((side - abs(x)) ** d for x in range(-2 * n, 2 * n + 1))
+    m = 2 * n
+    sums: list[int] = []
+    for k in range(d + 1):
+        lower = sum(math.comb(k + 1, j) * s for j, s in enumerate(sums))
+        sums.append(((m + 1) ** (k + 1) - 1 - lower) // (k + 1))
+    return (m + 1) ** d + 2 * sums[d]
 
 
 def lower_bound_certificate(d: int, n: int) -> int:

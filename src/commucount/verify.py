@@ -392,7 +392,7 @@ def extra_padic_deep(budget: WorkBudget | None = None) -> CriterionResult:
     )
 
 
-def extra_partial_sum_float(budget: WorkBudget | None = None) -> CriterionResult:
+def extra_partial_sum_float() -> CriterionResult:
     """Full-suite extra: the mean of sigma(m)/m settles on zeta(2) (float
     route; the exact route is impractical past X ~ 10^5)."""
     z2 = float(zeta_value(2))
@@ -429,4 +429,4 @@ def run_suite(suite: str, threads: int | None = None) -> Iterator[CriterionResul
     yield criterion_demo_4x4()
     if full:
         yield extra_padic_deep(budget=budget)
-        yield extra_partial_sum_float(budget=budget)
+        yield extra_partial_sum_float()

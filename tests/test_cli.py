@@ -1,9 +1,10 @@
 """End-to-end checks of the command-line front end: output formats, exit
-codes, and the append-only result cache.  Everything runs in-process through
-cli.main() with the cache redirected into a temp directory.
+codes, and the one-file-per-key result cache.  Everything runs in-process
+through cli.main() with the cache redirected into a temp directory.
 """
 
 import csv
+import hashlib
 import io
 import json
 import multiprocessing
@@ -335,11 +336,11 @@ def test_cached_commands_keep_their_cache_keys(capsys, isolated_cache):
          '{"command": "lowerbound", "params": {"d": 2, "n": 1}, "version": "V"}'),
     ]
     assert {argv.split()[0] for argv, _ in pinned} == CACHED
-    for argv, _ in pinned:
+    for argv, key in pinned:
         assert run_cli(capsys, *argv.split())[0] == 0
-    lines = (isolated_cache / "results.jsonl").read_text().splitlines()
-    keys = [json.loads(line)["key"] for line in lines]
-    assert keys == [key.replace('"V"', json.dumps(__version__)) for _, key in pinned]
+        key = key.replace('"V"', json.dumps(__version__))
+        assert json.loads(entry_file(isolated_cache, key).read_text())["key"] == key
+    assert len(entry_files(isolated_cache)) == len(pinned)
 
 
 def test_verify_refuses_a_budget_before_running_a_criterion(capsys, monkeypatch):
@@ -424,75 +425,170 @@ def test_csv_handles_diagnostic_free_results(capsys):
 # --- the cache --------------------------------------------------------------------
 
 
+def entry_file(cache_dir, key):
+    return cache_dir / (hashlib.sha256(key.encode()).hexdigest() + ".json")
+
+
+def entry_files(cache_dir):
+    """Every file in the cache directory, temporary ones included."""
+    return sorted(cache_dir.iterdir()) if cache_dir.exists() else []
+
+
+def count2_entry(cache_dir, n):
+    from commucount.cli import _cache_key
+
+    return entry_file(cache_dir, _cache_key("count2", {"n": n, "split": False}))
+
+
 def test_cache_replays_byte_identical(capsys, isolated_cache):
     _, first, _ = run_cli(capsys, "count2", "--n", "1000")
+    (entry,) = entry_files(isolated_cache)
+    assert entry == count2_entry(isolated_cache, 1000)
+    stored = entry.stat()
     _, second, _ = run_cli(capsys, "count2", "--n", "1000")
     assert first == second  # including runtime_ms, replayed verbatim
-    cache_file = isolated_cache / "results.jsonl"
-    assert cache_file.exists()
-    assert len(cache_file.read_text().splitlines()) == 1  # hit did not re-store
+    assert entry_files(isolated_cache) == [entry]
+    assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (
+        stored.st_ino, stored.st_mtime_ns
+    )  # the hit did not re-store
 
 
 def test_cache_distinguishes_params_and_version(capsys, isolated_cache):
     run_cli(capsys, "count2", "--n", "5")
     run_cli(capsys, "count2", "--n", "6")
-    lines = (isolated_cache / "results.jsonl").read_text().splitlines()
-    assert len(lines) == 2
-    keys = [json.loads(json.loads(line)["key"]) for line in lines]
-    assert [k["params"]["n"] for k in keys] == [5, 6]
+    entries = entry_files(isolated_cache)
+    assert entries == sorted(count2_entry(isolated_cache, n) for n in (5, 6))
+    keys = [json.loads(json.loads(e.read_text())["key"]) for e in entries]
+    assert sorted(k["params"]["n"] for k in keys) == [5, 6]
     assert all(k["version"] == __version__ for k in keys)
 
 
 def test_no_cache_skips_storing(capsys, isolated_cache):
     run_cli(capsys, "count2", "--n", "7", "--no-cache")
-    assert not (isolated_cache / "results.jsonl").exists()
+    assert entry_files(isolated_cache) == []
+    run_cli(capsys, "count2", "--n", "7")
+    assert entry_files(isolated_cache) == [count2_entry(isolated_cache, 7)]
 
 
 def test_divisor_all_is_never_cached(capsys, isolated_cache):
     run_cli(capsys, "divisor", "--n", "2", "--all")
-    assert not (isolated_cache / "results.jsonl").exists()
+    assert entry_files(isolated_cache) == []
 
 
-def test_corrupt_cache_lines_are_skipped_with_warning(capsys, isolated_cache):
-    run_cli(capsys, "count2", "--n", "9")
-    cache_file = isolated_cache / "results.jsonl"
-    cache_file.write_text("this is not json\n" + cache_file.read_text())
-    code, out, err = run_cli(capsys, "count2", "--n", "9")
-    assert code == 0
-    assert "corrupt" in err
+def test_a_lookup_does_not_create_the_cache_directory(isolated_cache):
+    from commucount.cli import cache_lookup
+
+    assert cache_lookup("count2", {"n": 1, "split": False}) is None
+    assert not isolated_cache.exists()
+
+
+def test_a_lookup_opens_one_file_however_many_entries(isolated_cache, monkeypatch):
+    import builtins
+
+    from commucount.cli import cache_lookup, cache_store
+
+    isolated_cache.mkdir()
+    for i in range(10_000):
+        entry_file(isolated_cache, f"unrelated {i}").write_text("{}")
+    cache_store("dx", {"h": 1, "x": 10}, {"value": "stored"})
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    hit = cache_lookup("dx", {"h": 1, "x": 10})
+    miss = cache_lookup("dx", {"h": 2, "x": 10})
+    monkeypatch.undo()
+    assert hit == {"value": "stored"} and miss is None
+    assert len(opened) == 2
+
+
+def assert_corrupt_entry_is_a_miss_then_overwritten(capsys, cache_dir, content):
+    """An entry file holding `content` ("{key}": this key with a result that
+    is not an object; "{other key}": another key) gives one warning and a
+    miss, and the store that follows replaces it."""
     from commucount import count_commuting_2x2
 
-    assert json_lines(out)[0]["value"] == str(count_commuting_2x2(9))
-
-
-@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "null", "{key}"])
-def test_cache_lines_that_are_not_objects_are_skipped_with_warning(
-    capsys, isolated_cache, line
-):
-    """Valid JSON that is not an object (or a matching entry whose result is
-    not one) is a corrupt line, not a crash."""
-    from commucount import count_commuting_2x2
-
     run_cli(capsys, "count2", "--n", "9")
-    cache_file = isolated_cache / "results.jsonl"
-    stored = json.loads(cache_file.read_text())
-    bad = json.dumps({"key": stored["key"], "result": 5}) if line == "{key}" else line
-    cache_file.write_text(cache_file.read_text() + bad + "\n")
+    entry = count2_entry(cache_dir, 9)
+    key = json.loads(entry.read_text())["key"]
+    bad = {
+        "{key}": json.dumps({"key": key, "result": 5}),
+        "{other key}": json.dumps({"key": key.replace("9", "8"), "result": {"value": "8"}}),
+    }.get(content, content)
+    entry.write_text(bad, encoding="utf-8", errors="surrogateescape")
     code, out, err = run_cli(capsys, "count2", "--n", "9")
     assert code == 0
     assert err.count("corrupt") == 1
     assert json_lines(out)[0]["value"] == str(count_commuting_2x2(9))
+    assert json.loads(entry.read_text())["key"] == key
+    assert entry_files(cache_dir) == [entry]
+    assert run_cli(capsys, "count2", "--n", "9")[::2] == (0, "")  # a clean hit
+
+
+def test_corrupt_cache_lines_are_skipped_with_warning(capsys, isolated_cache):
+    for content in ("this is not json", "\udcff"):  # the second is not UTF-8
+        assert_corrupt_entry_is_a_miss_then_overwritten(capsys, isolated_cache, content)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "null", "{key}", "{other key}"])
+def test_cache_lines_that_are_not_objects_are_skipped_with_warning(
+    capsys, isolated_cache, line
+):
+    """Valid JSON that is not an object, holds another key, or holds a result
+    that is not an object is a corrupt entry, not a crash."""
+    assert_corrupt_entry_is_a_miss_then_overwritten(capsys, isolated_cache, line)
 
 
 def test_cache_last_write_wins(capsys, isolated_cache):
-    run_cli(capsys, "count2", "--n", "11")
-    cache_file = isolated_cache / "results.jsonl"
-    line = json.loads(cache_file.read_text())
-    line["result"]["value"] = "tampered"
-    with open(cache_file, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(line) + "\n")
+    from commucount.cli import cache_lookup, cache_store
+
+    params = {"n": 11, "split": False}
+    cache_store("count2", params, {"value": "first"})
+    cache_store("count2", params, {"value": "second"})
+    assert cache_lookup("count2", params) == {"value": "second"}
+    assert entry_files(isolated_cache) == [count2_entry(isolated_cache, 11)]
     _, out, _ = run_cli(capsys, "count2", "--n", "11")
-    assert json_lines(out)[0]["value"] == "tampered"  # documented: last entry wins
+    assert out == '{"value": "second"}\n'  # a hit replays the entry verbatim
+
+
+def _store_repeatedly(cache_dir, worker, rounds):
+    os.environ["COMMUCOUNT_CACHE_DIR"] = cache_dir
+    from commucount.cli import cache_store
+
+    for i in range(rounds):
+        cache_store("dx", {"h": 1, "x": 10}, {"value": f"{worker}-{i}", "pad": "x" * 4096})
+
+
+def test_concurrent_stores_never_expose_a_partial_entry(capsys, isolated_cache, time_limit):
+    """Writers in other processes keep replacing one entry while this process
+    reads it: every read is a miss before the first store, then a whole entry."""
+    from commucount.cli import cache_lookup
+
+    workers, rounds = 4, 200
+    ctx = multiprocessing.get_context("spawn")
+    procs = [
+        ctx.Process(target=_store_repeatedly, args=(str(isolated_cache), w, rounds))
+        for w in range(workers)
+    ]
+    with time_limit(60):
+        for p in procs:
+            p.start()
+        seen = []
+        while any(p.is_alive() for p in procs):
+            hit = cache_lookup("dx", {"h": 1, "x": 10})
+            if hit is not None:
+                seen.append(hit["value"])
+        for p in procs:
+            p.join(10)
+    assert all(not p.is_alive() and p.exitcode == 0 for p in procs)
+    assert capsys.readouterr().err == ""  # no read saw a corrupt entry
+    assert seen and all(v.split("-")[0] in {str(w) for w in range(workers)} for v in seen)
+    assert cache_lookup("dx", {"h": 1, "x": 10})["value"].endswith(f"-{rounds - 1}")
+    assert len(entry_files(isolated_cache)) == 1  # no temporary file left behind
 
 
 def test_verify_is_exercised_through_acceptance():

@@ -4,6 +4,7 @@ identities, and honest budget refusals.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -396,15 +397,9 @@ def test_brute_r_table_n1_by_hand():
     assert brute_r_table(1) == expected
 
 
-def test_resolve_threads():
+def test_resolve_threads(monkeypatch):
     assert resolve_threads(3) == 3
     with pytest.raises(ValueError):
         resolve_threads(0)
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv("COMMUCOUNT_THREADS", "2")
-    assert resolve_threads() == 2
-    monkeypatch.setenv("COMMUCOUNT_THREADS", "zero")
-    with pytest.raises(ValueError):
-        resolve_threads()
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert resolve_threads() == 5

@@ -401,6 +401,20 @@ def test_lower_bound_E_direct():
         assert lower_bound_E(d, n) == direct
 
 
+def test_lower_bound_E_closed_form_equals_the_literal_sum():
+    for d in range(2, 7):
+        for n in range(201):
+            side = 2 * n + 1
+            literal = sum((side - abs(x)) ** d for x in range(-2 * n, 2 * n + 1))
+            assert lower_bound_E(d, n) == literal
+
+
+def test_lower_bound_certificate_at_a_huge_n_is_prompt(time_limit):
+    with time_limit(1):
+        value = lower_bound_certificate(3, 10**12)
+    assert value > (2 * 10**12) ** 10
+
+
 def test_lower_bound_E_growth():
     # E_d(N) >= (2/(d+1)) (2N)^{d+1}, exactly, for the acceptance range.
     for d in (2, 3):

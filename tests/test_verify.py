@@ -46,6 +46,53 @@ def test_run_suite_rejects_unknown_suite():
         list(run_suite("exhaustive"))
 
 
+CRITERIA = [
+    "criterion_oracle_2x2", "criterion_main_term", "criterion_split", "criterion_r_table",
+    "criterion_moments", "criterion_padic_exact", "criterion_density_main",
+    "criterion_lifting", "criterion_classification", "criterion_lower_bounds",
+    "criterion_sup_autocorrelation", "criterion_demo_4x4",
+    "extra_padic_deep", "extra_partial_sum_float",
+]
+
+
+@pytest.mark.parametrize("suite", ["quick", "full"])
+def test_run_suite_wiring(monkeypatch, suite):
+    """Each criterion replaced by a recording stub: the order of the calls,
+    the suite's budget and every per-suite argument."""
+    import commucount.verify as verify
+
+    calls = []
+    for name in CRITERIA:
+        def stub(*args, _name=name, **kwargs):
+            assert not args
+            budget = kwargs.pop("budget", None)
+            calls.append((_name, budget and budget.max_states, kwargs))
+            return CriterionResult(_name, "stub", True, {})
+
+        monkeypatch.setattr(verify, name, stub)
+    yielded = [res.key for res in run_suite(suite, threads=3)]
+    full = suite == "full"
+    b = 10**10 if full else 10**8
+    expected = [
+        ("criterion_oracle_2x2", b, {}),
+        ("criterion_main_term", None, {}),
+        ("criterion_split", None, {}),
+        ("criterion_r_table", b, {}),
+        ("criterion_moments", b, {"ns": (50, 100, 200) if full else (20, 35, 50)}),
+        ("criterion_padic_exact", b, {"limit": 10**9 if full else 10**8}),
+        ("criterion_density_main", None, {}),
+        ("criterion_lifting", b, {}),
+        ("criterion_classification", b, {"ns": (1, 2) if full else (1,), "threads": 3}),
+        ("criterion_lower_bounds", b, {"threads": 3}),
+        ("criterion_sup_autocorrelation", b, {"gp_size": None if full else 200}),
+        ("criterion_demo_4x4", None, {}),
+    ]
+    if full:
+        expected += [("extra_padic_deep", b, {}), ("extra_partial_sum_float", None, {})]
+    assert calls == expected
+    assert yielded == [name for name, _, _ in expected]
+
+
 def test_random_test_sets_cover_all_three_value_scales():
     rng = np.random.default_rng(1)
     sets = list(_random_test_sets(rng, 50, 100))
@@ -116,10 +163,13 @@ def test_cli_verify_failure_sets_exit_1(monkeypatch, capsys, tmp_path):
 
 
 def test_cli_verify_is_never_cached(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("COMMUCOUNT_CACHE_DIR", str(tmp_path))
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("COMMUCOUNT_CACHE_DIR", str(cache))
     monkeypatch.setattr(
         cli, "run_suite", fake_suite([CriterionResult("1", "fine", True, {})])
     )
-    cli.main(["verify", "--suite", "quick"])
+    assert cli.main(["verify", "--suite", "quick"]) == 0
+    assert not cache.exists()
+    assert cli.main(["dx", "--x", "10", "--h", "1"]) == 0  # a cached command does store
     capsys.readouterr()
-    assert not (tmp_path / "results.jsonl").exists()
+    assert [p.suffix for p in cache.iterdir()] == [".json"]
