@@ -61,12 +61,16 @@ class ValuationClassCounts:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker-process count: the explicit argument, else the machine's CPU
-    count."""
+    """Worker-process count: the explicit argument, else the number of CPUs
+    this process may run on (its affinity mask where the platform has one,
+    which `taskset` and container CPU sets narrow; the machine's CPU count
+    elsewhere)."""
     if threads is not None:
         if threads < 1:
             raise ValueError("thread count must be >= 1")
         return threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -149,9 +153,13 @@ def _coef_tensor() -> np.ndarray:
     return coef
 
 
-# Keys per half-tabulation block: each of the join's int64 arrays over a
-# block stays near 8 MB.
-_BLOCK_KEYS = 2**20
+# Keys per half-tabulation block: a block's keys, and for partner_pairs
+# their sorting permutation, are int64 arrays of 2 MB, about one core's L2
+# cache on the 2-vCPU Xeon this was tuned on.  There brute_commuting_count(3,
+# 1) took 118-122 ms with blocks of 2^16..2^19 keys and 175 ms with 2^20, and
+# a 10,000-A slice at N = 2 509-527 ms against 848 ms.  A block must hold
+# two rows at n = 4, 2 * (9^5 + 9^4) keys.
+_BLOCK_KEYS = 2**18
 
 
 def a_rows(n: int, ids: np.ndarray) -> np.ndarray:
@@ -162,21 +170,35 @@ def a_rows(n: int, ids: np.ndarray) -> np.ndarray:
     return (np.asarray(ids, dtype=np.int64)[:, None] // pows) % side - n
 
 
+def _outer_sum(steps: np.ndarray, out: np.ndarray) -> None:
+    """out[r, i] = sum_c steps[r, c, t_c] for every row r, where t_0..t_{k-1}
+    are the digits of i in base `side` (the last one varies fastest, as in
+    grid_tuples): one broadcast sum per axis, the long axis innermost, the
+    last one written straight into `out`."""
+    rows, k, side = steps.shape
+    acc = steps[:, k - 1]
+    for c in range(k - 2, 0, -1):
+        acc = (steps[:, c, :, None] + acc[:, None, :]).reshape(rows, -1)
+    np.add(steps[:, 0, :, None], acc[:, None, :], out=out.reshape(rows, side, -1))
+
+
 class MeetInMiddle3:
     """Solver for 3x3, a block of A at a time: the 8 commutator entries are
     linear in B, so split B's nine entries 5|4, tabulate both halves, and
     join on the packed 8-dimensional value vector.  Exact: every B in the
     box is generated for every A.
 
-    The packing is linear too: half 1's packed keys for A are
-    h1 @ (G a)[:5] + const and half 2's are -h2 @ (G a)[5:] + const, with G
-    a fixed 9x9 matrix, so one matmul builds both halves' keys for a whole
-    block of A.  Row r of a block is shifted by r * base^8, so no two rows
-    share a key, and every key is doubled, plus 1 on half 2, so that
-    sorting a row puts each half-1 run of a value right before its half-2
-    run; one sort and one pass over the block then find every match.
-    `max_rows` keeps the keys below 2^63 and a block near _BLOCK_KEYS
-    keys."""
+    The packing is linear too: a row's packed coefficient of each
+    B-variable is one entry of a @ wmat, so one (rows, 9) by (9, 9) product
+    gives a block's nine coefficients, and half 1's keys for A are
+    h1 @ w[:5] + const and half 2's are -h2 @ w[5:] + const.  Each half's
+    keys are an outer sum over its grid axes of coefficient times value,
+    written straight into one array of keys.  Row r of a block is shifted
+    by r * base^8, so no two rows share a key, and every key is doubled,
+    plus 1 on half 2, so that sorting a row puts each half-1 run of a value
+    right before its half-2 run; one sort and one pass over the block then
+    find every match.  `max_rows` keeps the keys below 2^63 and a block
+    near _BLOCK_KEYS keys."""
 
     @staticmethod
     def key_base(n: int) -> int:
@@ -192,28 +214,37 @@ class MeetInMiddle3:
 
     def __init__(self, n: int):
         base = self.key_base(n)
-        off = base // 2
         self.n = n
         self.side = 2 * n + 1
         self.h1 = grid_tuples(n, 5)
         self.h2 = grid_tuples(n, 4)
         pows = base ** np.arange(8, dtype=np.int64)
-        # gmat[col, a] = sum_e pows[e] * (coefficient of a_flat[a] in the
+        # wmat[a, col] = sum_e pows[e] * (coefficient of a_flat[a] in the
         # col-th B-variable's coefficient within commutator entry e).
-        gmat = np.einsum("e,eca->ca", pows, _coef_tensor())
-        halves = [gmat[:5].T @ self.h1.T, -(gmat[5:].T @ self.h2.T)]
-        self.kmat = 2 * np.concatenate(halves, axis=1)
-        self.kconst = 2 * off * int(pows.sum()) + np.repeat([0, 1], [len(self.h1), len(self.h2)])
+        self.wmat = np.einsum("e,eca->ac", pows, _coef_tensor())
+        self.key_const = (base // 2) * int(pows.sum())
         self.key_span = 2 * base**8
-        self.max_rows = max(1, min(2**63 // self.key_span, _BLOCK_KEYS // self.kmat.shape[1]))
+        self.width = len(self.h1) + len(self.h2)
+        self.max_rows = max(1, min(2**63 // self.key_span, _BLOCK_KEYS // self.width))
 
     def _sorted_keys(self, a_block: np.ndarray, order: bool = False):
         """The block's keys, each row sorted, flattened; with `order`, also
         each row's sorting permutation."""
-        if len(a_block) > self.max_rows:
+        rows = len(a_block)
+        if rows > self.max_rows:
             raise ValueError(f"a block holds at most {self.max_rows} rows")
-        shift = np.arange(len(a_block), dtype=np.int64)[:, None] * self.key_span
-        keys = a_block @ self.kmat + (self.kconst + shift)
+        # steps[r, col, t]: what B-variable col at its t-th value adds to
+        # row r's doubled key, negated on half 2.  The first axis of each
+        # half also carries the row shift, the constant and the half bit.
+        steps = (2 * a_block @ self.wmat)[:, :, None] * np.arange(-self.n, self.n + 1)
+        steps[:, 5:] *= -1
+        start = 2 * self.key_const + self.key_span * np.arange(rows, dtype=np.int64)[:, None]
+        steps[:, 0] += start
+        steps[:, 5] += start + 1
+        keys = np.empty((rows, self.width), dtype=np.int64)
+        w1 = len(self.h1)
+        _outer_sum(steps[:, :5], keys[:, :w1])
+        _outer_sum(steps[:, 5:], keys[:, w1:])
         if not order:
             keys.sort(axis=1)
             return keys.ravel(), None
@@ -223,8 +254,9 @@ class MeetInMiddle3:
     @staticmethod
     def _shared_runs(keys: np.ndarray):
         """For sorted keys: the last half-1 position of every value that
-        both halves hold, and the start and end of that value's run."""
-        last1 = np.flatnonzero((np.diff(keys) == 1) & ((keys[1:] & 1) == 1))
+        both halves hold, and the start and end of that value's run.  Keys
+        k < k' that differ in the half bit alone are 2v and 2v + 1."""
+        last1 = np.flatnonzero((keys[:-1] ^ keys[1:]) == 1)
         return (
             last1,
             np.searchsorted(keys, keys[last1], "left"),
@@ -253,7 +285,7 @@ class MeetInMiddle3:
         width = np.repeat(n2, sizes)
         pos1 = np.repeat(start, sizes) + k // width
         pos2 = np.repeat(last1 + 1, sizes) + k % width
-        return pos1 // self.kmat.shape[1], perm[pos1], perm[pos2] - len(self.h1)
+        return pos1 // self.width, perm[pos1], perm[pos2] - len(self.h1)
 
     def count_for_a(self, a_flat: np.ndarray) -> int:
         return int(self.count_block(a_flat[None, :])[0])

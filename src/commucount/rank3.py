@@ -353,26 +353,38 @@ def _classify_reps(
     n: int, lo: int, hi: int, reps: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Rank classes of the pairs of representatives lo..hi-1, each pair
-    weighted by its A's orbit size."""
+    weighted by its A's orbit size.
+
+    Every pair's system is built and checked against M X = Y.  M depends
+    only on the off-diagonal entries of A and B, and B's are digits 1..3
+    of i1 and 0..2 of i2 in base 2n+1, so each distinct (row, off-diagonal
+    B) of a block is ranked once and its rank given to all its pairs."""
     mim = MeetInMiddle3(n)
+    cube = mim.side**3
     counts = np.zeros(5, dtype=np.int64)
     for block in range(lo, hi, mim.max_rows):
         stop = min(block + mim.max_rows, hi)
         a_block = a_rows(n, reps[block:stop])
         row, i1, i2 = mim.partner_pairs(a_block)
-        hist = np.zeros(5 * len(a_block), dtype=np.int64)
+
+        def systems(sel):
+            bs = np.concatenate([mim.h1[i1[sel]], mim.h2[i2[sel]]], axis=1)
+            return _pair_systems(a_block[row[sel]], bs)
+
         for s in range(0, len(row), _RANK_ROWS):
-            r = row[s : s + _RANK_ROWS]
-            bs = np.concatenate(
-                [mim.h1[i1[s : s + _RANK_ROWS]], mim.h2[i2[s : s + _RANK_ROWS]]], axis=1
-            )
-            m, x, y = _pair_systems(a_block[r], bs)
+            m, x, y = systems(slice(s, s + _RANK_ROWS))
             if not np.array_equal(np.einsum("krc,kc->kr", m, x), y):
                 raise InvariantViolation(
                     "a commuting pair violated M X = Y; the system rows "
                     "disagree with the commutator"
                 )
-            hist += np.bincount(5 * r + batched_rank(m), minlength=len(hist))
+        key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        ranks = np.concatenate([
+            batched_rank(systems(first[s : s + _RANK_ROWS])[0])
+            for s in range(0, len(first), _RANK_ROWS)
+        ])
+        hist = np.bincount(5 * row + ranks[inverse], minlength=5 * len(a_block))
         counts += sizes[block:stop] @ hist.reshape(-1, 5)
     return counts
 

@@ -121,33 +121,123 @@ def test_states_3x3_accounting():
     assert states_3x3(1) == side**9 * (side**5 + side**4)
 
 
-def commuting_by_scan(a_flat):
-    """Mask over grid_tuples(1, 9): which B in the N = 1 box commute with A,
-    by a literal vectorized AB == BA scan over all 3^9 B."""
-    bs = grid_tuples(1, 9).reshape(-1, 3, 3)
-    a = a_flat.reshape(3, 3)
-    commutes = np.einsum("ij,bjk->bik", a, bs) == np.einsum("bij,jk->bik", bs, a)
-    return commutes.all(axis=(1, 2))
+def commuting_by_scan(a_flat, n):
+    """Every B in the box [-n, n]^9 that commutes with A, as flattened rows
+    in lexicographic order, by a literal vectorized AB == BA scan over all
+    (2n+1)^9 B, a slice of fixed b1 at a time.  int16 holds every entry of
+    AB and BA, at most 3n^2 in absolute value."""
+    assert 3 * n * n < 2**15
+    rest = grid_tuples(n, 8).astype(np.int16)
+    a = np.asarray(a_flat, dtype=np.int16).reshape(3, 3)
+    found = []
+    for b1 in range(-n, n + 1):
+        bs = np.concatenate([np.full((len(rest), 1), b1, dtype=np.int16), rest], axis=1)
+        mats = bs.reshape(-1, 3, 3)
+        commutes = np.einsum("ij,bjk->bik", a, mats) == np.einsum("bij,jk->bik", mats, a)
+        found.append(bs[commutes.all(axis=(1, 2))])
+    return np.concatenate(found)
 
 
-def commuting_counts_by_scan(a_flats):
-    """For each A, the number of B in the N = 1 box with AB == BA."""
-    return [int(commuting_by_scan(a_flat).sum()) for a_flat in a_flats]
+def commuting_counts_by_scan(a_flats, n):
+    """For each A, the number of B in the box [-n, n]^9 with AB == BA."""
+    return [len(commuting_by_scan(a_flat, n)) for a_flat in a_flats]
 
 
 def test_meet_in_middle_partners_match_direct_scan():
     """For a sample of A's at N = 1, the meet-in-the-middle join must return
     exactly the B's a literal AB == BA scan finds."""
     mim = MeetInMiddle3(1)
-    all_b = grid_tuples(1, 9)
     rng = np.random.default_rng(7)
     sample = rng.integers(0, 3**9, size=12)
     for a_id in sample:
         a_flat = a_rows(1, [int(a_id)])[0]
-        direct = {tuple(b) for b in all_b[commuting_by_scan(a_flat)].tolist()}
+        direct = {tuple(b) for b in commuting_by_scan(a_flat, 1).tolist()}
         partners = {tuple(row.tolist()) for row in mim.partners_for_a(a_flat)}
         assert partners == direct
         assert mim.count_for_a(a_flat) == len(direct)
+
+
+def test_meet_in_middle_matches_direct_scan_at_n2():
+    """At N = 2 against a literal scan of all 5^9 B: a random A, two A with
+    a five-dimensional centralizer (diag(1, 1, -2) and the all-ones
+    matrix), whose partners the join must find among many half-key
+    collisions, and a scalar A, which commutes with every B and is checked
+    by count only."""
+    mim = MeetInMiddle3(2)
+    rng = np.random.default_rng(17)
+    a = np.array([
+        rng.integers(-2, 3, 9),
+        [1, 0, 0, 0, 1, 0, 0, 0, -2],
+        [1] * 9,
+        [-2, 0, 0, 0, -2, 0, 0, 0, -2],
+    ])
+    scans = [commuting_by_scan(a_flat, 2) for a_flat in a]
+    counts = [len(scan) for scan in scans]
+    assert counts[1] == 5**5 and counts[3] == 5**9
+    assert mim.count_block(a).tolist() == counts
+    for a_flat, scan in zip(a[:3], scans):
+        direct = {tuple(b) for b in scan.tolist()}
+        assert {tuple(b) for b in mim.partners_for_a(a_flat).tolist()} == direct
+
+
+# The commutator entries the keys pack, digit e for entry _KEY_ENTRIES[e]
+# (0-based row, column); the (3, 3) entry is dropped.
+_KEY_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
+
+
+def _literal_commutator(a, b):
+    """AB - BA of two row-major flattened 3x3 matrices, in Python ints."""
+    return [
+        [sum(a[3 * i + k] * b[3 * k + j] - b[3 * i + k] * a[3 * k + j] for k in range(3))
+         for j in range(3)]
+        for i in range(3)
+    ]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_keys_unpack_to_the_half_commutators(n):
+    """Every key of row r is r * key_span + 2 * v + h, h = 0 on half 1 and
+    1 on half 2, and the base-key_base(n) digit e of v, less key_base(n) //
+    2, is entry _KEY_ENTRIES[e] of [A, B1] for half 1, where B1 holds the
+    half's five entries of B and zeros, or of -[A, B2] for half 2, where B2
+    holds its last four.  Checked with Python ints on random blocks with the
+    zero and a scalar A, on every key up to n = 2 and on 3000 keys a block
+    at n = 3, 4."""
+    mim = MeetInMiddle3(n)
+    base = MeetInMiddle3.key_base(n)
+    rng = np.random.default_rng(100 + n)
+    a = rng.integers(-n, n + 1, (5, 9))
+    a[0] = 0
+    a[1] = np.diag([n, n, n]).ravel()
+    w1 = len(mim.h1)
+    for lo in range(0, len(a), mim.max_rows):
+        block = a[lo : lo + mim.max_rows]
+        keys, perm = mim._sorted_keys(block, order=True)
+        assert (np.diff(keys) >= 0).all()
+        positions = range(len(keys))
+        if n >= 3:
+            positions = rng.choice(len(keys), 3000, replace=False)
+        for pos in positions:
+            key, col = int(keys[pos]), int(perm[pos])
+            row, rest = divmod(key, mim.key_span)
+            assert row == pos // mim.width
+            value, half = divmod(rest, 2)
+            digits = []
+            for _ in _KEY_ENTRIES:
+                value, digit = divmod(value, base)
+                digits.append(digit - base // 2)
+            assert value == 0
+            b = [0] * 9
+            if col < w1:
+                assert half == 0
+                b[:5] = mim.h1[col].tolist()
+                sign = 1
+            else:
+                assert half == 1
+                b[5:] = mim.h2[col - w1].tolist()
+                sign = -1
+            c = _literal_commutator(block[row].tolist(), b)
+            assert digits == [sign * c[i][j] for i, j in _KEY_ENTRIES]
 
 
 @pytest.mark.parametrize("n, lo, rows", [(1, 0, 40), (1, 9000, 300), (2, 123456, 600)])
@@ -163,7 +253,7 @@ def test_block_join_matches_per_a_counts(n, lo, rows):
     assert blocks.tolist() == per_a
     assert _count3_range(n, lo, lo + rows) == sum(per_a)
     if n == 1:
-        assert per_a[::10] == commuting_counts_by_scan(a[::10])
+        assert per_a[::10] == commuting_counts_by_scan(a[::10], 1)
 
 
 def test_block_cut_short_by_the_key_shift_limit():
@@ -401,5 +491,11 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads(3) == 3
     with pytest.raises(ValueError):
         resolve_threads(0)
+    # The default is the CPUs this process may run on (taskset -c 0 leaves
+    # one however many the machine has), and the CPU count where the
+    # platform has no affinity call.
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_threads() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
     assert resolve_threads() == 5

@@ -186,6 +186,45 @@ def test_pair_systems_batch_reproduces_the_commutator():
         assert mx - sys_.y_vector[r] == (1 if r < 4 else -1) * c[i][j]
 
 
+def test_pair_systems_ignore_the_diagonals():
+    """M depends only on the off-diagonal entries of A and B: new diagonal
+    entries for B, or for both, leave it unchanged.  This is what lets the
+    classification rank one system per distinct off-diagonal B."""
+    rng = np.random.default_rng(31)
+    diagonal = [0, 4, 8]
+    for n in range(5):
+        a = rng.integers(-n, n + 1, (300, 9))
+        b = rng.integers(-n, n + 1, (300, 9))
+        m = _pair_systems(a, b)[0]
+        a2, b2 = a.copy(), b.copy()
+        a2[:, diagonal] = rng.integers(-n, n + 1, (300, 3))
+        b2[:, diagonal] = rng.integers(-n, n + 1, (300, 3))
+        assert np.array_equal(_pair_systems(a, b2)[0], m)
+        assert np.array_equal(_pair_systems(a2, b2)[0], m)
+
+
+def test_ranking_the_distinct_systems_gives_every_pairs_rank():
+    """At N = 1, the ranks of all 47012 pairs of the orbit representatives
+    equal the ranks of their distinct (off-diagonal A, off-diagonal B)
+    systems scattered back, and both give the classification's weighted
+    histogram."""
+    mim = MeetInMiddle3(1)
+    reps, sizes = orbit_representatives(1)
+    a = a_rows(1, reps)
+    assert len(a) <= mim.max_rows
+    row, i1, i2 = mim.partner_pairs(a)
+    assert len(row) == 47012
+    m = _pair_systems(a[row], np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1))[0]
+    ranks = batched_rank(m)
+    off = [1, 2, 3, 5, 6, 7]
+    pairs_off = np.concatenate([a[row][:, off], mim.h1[i1][:, 1:4], mim.h2[i2][:, :3]], axis=1)
+    _, first, inverse = np.unique(pairs_off, axis=0, return_index=True, return_inverse=True)
+    assert len(first) < len(row) // 10
+    assert np.array_equal(batched_rank(m[first])[inverse.ravel()], ranks)
+    hist = sizes @ np.bincount(5 * row + ranks, minlength=5 * len(a)).reshape(-1, 5)
+    assert tuple(hist.tolist()) == classify_commuting_3x3(1).s
+
+
 def test_system_rank_matches_reference():
     rng = np.random.default_rng(3)
     for _ in range(50):
