@@ -230,12 +230,20 @@ def _cmd_divisor(args) -> list[dict]:
     return [_result("divisor", {"n": args.n, "h": args.h}, str(value), diagnostics)]
 
 
+def _float_ratio(num: int, den: int) -> float | None:
+    """num / den as a float, or None (JSON null) past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return None
+
+
 def _cmd_moments(args) -> list[dict]:
     budget = WorkBudget(args.budget)
     value = moment(args.n, args.k, budget)
     diagnostics = {
-        "per_n_pow": value / args.n ** (2 * args.k + 2),
-        "per_side_pow": value / (2 * args.n) ** (2 * args.k + 2),
+        "per_n_pow": _float_ratio(value, args.n ** (2 * args.k + 2)),
+        "per_side_pow": _float_ratio(value, (2 * args.n) ** (2 * args.k + 2)),
     }
     return [_result("moments", {"n": args.n, "k": args.k}, str(value), diagnostics)]
 

@@ -312,27 +312,27 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _run_part(fn, args):
+def _run_part(fn, n: int, lo: int, hi: int):
     try:
-        return fn(*args)
+        return fn(n, lo, hi)
     except KeyboardInterrupt:
         raise _WorkerInterrupted() from None
 
 
-def _parallel_over_a(fn, n: int, n_items: int, threads: int | None, *args):
-    """Sum of fn(n, lo, hi, *args) over a split of range(n_items) into one
-    contiguous part per worker process (in this process when one worker
-    suffices).
+def _parallel_over_a(fn, n: int, threads: int | None):
+    """Sum of fn(n, lo, hi) over one contiguous range of the (2n+1)^9 A ids
+    per worker process (in this process when one worker suffices).
 
     Workers ignore SIGINT, so Ctrl-C interrupts only this process; the
     KeyboardInterrupt leaves the pool's context, which terminates the
     workers.  A KeyboardInterrupt raised inside a worker is re-raised here
     the same way, after the pool is terminated."""
-    workers = min(resolve_threads(threads), n_items)
+    n_a = (2 * n + 1) ** 9
+    workers = min(resolve_threads(threads), n_a)
     if workers <= 1:
-        return fn(n, 0, n_items, *args)
-    bounds = np.linspace(0, n_items, workers + 1, dtype=np.int64)
-    tasks = [(fn, (n, int(bounds[i]), int(bounds[i + 1]), *args)) for i in range(workers)]
+        return fn(n, 0, n_a)
+    bounds = np.linspace(0, n_a, workers + 1, dtype=np.int64)
+    tasks = [(fn, n, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
     with get_context("fork").Pool(workers, initializer=_ignore_sigint) as pool:
         try:
             return sum(pool.starmap(_run_part, tasks))
@@ -351,7 +351,7 @@ def _count3_range(n: int, lo: int, hi: int) -> int:
 
 def _brute_3x3(n: int, budget: WorkBudget, threads: int | None) -> int:
     budget.require(states_3x3(n), "3x3 commuting-pair enumeration")
-    return _parallel_over_a(_count3_range, n, (2 * n + 1) ** 9, threads)
+    return _parallel_over_a(_count3_range, n, threads)
 
 
 def brute_commuting_count(

@@ -33,7 +33,7 @@ this one; transposition turns the map into (D, E) -> -(its value)^T; and
 A -> -A turns it into (D, E) -> (its value at (D, -E)).  Each is the map
 composed with invertible maps on both sides, so its rank, and with it the
 histogram of rank(M) over the partners of A, is the same for every A in
-an orbit.
+an orbit.  Each classification worker canonicalizes its own range of ids.
 """
 
 from __future__ import annotations
@@ -301,34 +301,30 @@ def _orbit_images(n: int, lo: int, hi: int) -> np.ndarray:
     return a_rows(n, np.arange(lo, hi)) @ weights + n * int(place.sum())
 
 
-def orbit_representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical A of every orbit of the box under orbit_group(), as
-    lexicographic ids (the smallest id in the orbit), and the orbit sizes.
+def orbit_count(n: int) -> int:
+    """The number of orbits of the box under orbit_group() by Burnside's
+    lemma: the mean over g of (2n+1)^(9 - rank(P_g - I)), the number of A
+    fixed by g, which acts on A as the 9x9 signed permutation P_g."""
+    src, sign = orbit_group()
+    p = sign[:, :, None] * np.eye(9, dtype=np.int64)[src]
+    ranks = batched_rank(p - np.eye(9, dtype=np.int64))
+    return sum((2 * n + 1) ** (9 - int(r)) for r in ranks) // len(src)
 
-    The canonical A are exactly the A that are their own smallest image,
-    and each orbit's size must agree with orbit-stabilizer, 96 over the
-    number of g that fix its canonical A; the sizes sum to (2n+1)^9."""
-    n_a = (2 * n + 1) ** 9
-    canon = np.empty(n_a, dtype=np.int64)
-    fixed: list[np.ndarray] = []
-    stabilizers: list[np.ndarray] = []
-    for lo in range(0, n_a, _CANON_ROWS):
-        hi = min(lo + _CANON_ROWS, n_a)
-        images = _orbit_images(n, lo, hi)
-        canon[lo:hi] = images.min(axis=1)
-        own = np.arange(lo, hi)
-        mine = canon[lo:hi] == own
-        fixed.append(own[mine])
-        stabilizers.append((images[mine] == own[mine, None]).sum(axis=1))
-    reps, sizes = np.unique(canon, return_counts=True)
-    group_order = images.shape[1]
-    if (
-        not np.array_equal(np.concatenate(fixed), reps)
-        or (sizes * np.concatenate(stabilizers) != group_order).any()
-        or int(sizes.sum()) != n_a
-    ):
+
+def orbit_representatives(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical A among the ids lo..hi-1, the A that are their own
+    smallest image under orbit_group(), and their orbit sizes, the number
+    of distinct images.  InvariantViolation unless each size times the
+    number of g that fix A is the group order (orbit-stabilizer).  One
+    (hi - lo, 96) int64 product: callers pass _CANON_ROWS ids at a time."""
+    images = _orbit_images(n, lo, hi)
+    own = np.arange(lo, hi)
+    mine = images.min(axis=1) == own
+    orbits = np.sort(images[mine], axis=1)
+    distinct = 1 + (orbits[:, 1:] != orbits[:, :-1]).sum(axis=1)
+    if (distinct * (orbits == own[mine, None]).sum(axis=1) != images.shape[1]).any():
         raise InvariantViolation("3x3 orbit sizes disagree with orbit-stabilizer")
-    return reps, sizes
+    return own[mine], distinct
 
 
 # --- rank classification over the whole box --------------------------------
@@ -349,11 +345,10 @@ class RankClassCounts:
 _RANK_ROWS = 65536
 
 
-def _classify_reps(
-    n: int, lo: int, hi: int, reps: np.ndarray, sizes: np.ndarray
-) -> np.ndarray:
-    """Rank classes of the pairs of representatives lo..hi-1, each pair
-    weighted by its A's orbit size.
+def _classify_range(n: int, lo: int, hi: int) -> np.ndarray:
+    """Rank classes of the pairs of the canonical A among ids lo..hi-1, each
+    pair weighted by its A's orbit size, then the number of those A and the
+    sum of their orbit sizes.
 
     Every pair's system is built and checked against M X = Y.  M depends
     only on the off-diagonal entries of A and B, and B's are digits 1..3
@@ -361,31 +356,34 @@ def _classify_reps(
     B) of a block is ranked once and its rank given to all its pairs."""
     mim = MeetInMiddle3(n)
     cube = mim.side**3
-    counts = np.zeros(5, dtype=np.int64)
-    for block in range(lo, hi, mim.max_rows):
-        stop = min(block + mim.max_rows, hi)
-        a_block = a_rows(n, reps[block:stop])
-        row, i1, i2 = mim.partner_pairs(a_block)
+    counts = np.zeros(7, dtype=np.int64)
+    for start in range(lo, hi, _CANON_ROWS):
+        reps, sizes = orbit_representatives(n, start, min(start + _CANON_ROWS, hi))
+        counts[5:] += len(reps), sizes.sum()
+        for block in range(0, len(reps), mim.max_rows):
+            stop = block + mim.max_rows
+            a_block = a_rows(n, reps[block:stop])
+            row, i1, i2 = mim.partner_pairs(a_block)
 
-        def systems(sel):
-            bs = np.concatenate([mim.h1[i1[sel]], mim.h2[i2[sel]]], axis=1)
-            return _pair_systems(a_block[row[sel]], bs)
+            def systems(sel):
+                bs = np.concatenate([mim.h1[i1[sel]], mim.h2[i2[sel]]], axis=1)
+                return _pair_systems(a_block[row[sel]], bs)
 
-        for s in range(0, len(row), _RANK_ROWS):
-            m, x, y = systems(slice(s, s + _RANK_ROWS))
-            if not np.array_equal(np.einsum("krc,kc->kr", m, x), y):
-                raise InvariantViolation(
-                    "a commuting pair violated M X = Y; the system rows "
-                    "disagree with the commutator"
-                )
-        key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        ranks = np.concatenate([
-            batched_rank(systems(first[s : s + _RANK_ROWS])[0])
-            for s in range(0, len(first), _RANK_ROWS)
-        ])
-        hist = np.bincount(5 * row + ranks[inverse], minlength=5 * len(a_block))
-        counts += sizes[block:stop] @ hist.reshape(-1, 5)
+            for s in range(0, len(row), _RANK_ROWS):
+                m, x, y = systems(slice(s, s + _RANK_ROWS))
+                if not np.array_equal(np.einsum("krc,kc->kr", m, x), y):
+                    raise InvariantViolation(
+                        "a commuting pair violated M X = Y; the system rows "
+                        "disagree with the commutator"
+                    )
+            key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            ranks = np.concatenate([
+                batched_rank(systems(first[s : s + _RANK_ROWS])[0])
+                for s in range(0, len(first), _RANK_ROWS)
+            ])
+            hist = np.bincount(5 * row + ranks[inverse], minlength=5 * len(a_block))
+            counts[:5] += sizes[block:stop] @ hist.reshape(-1, 5)
     return counts
 
 
@@ -397,24 +395,26 @@ def classify_commuting_3x3(
     """Partition every commuting 3x3 pair in the box by the rank of its M.
 
     The group of orbit_group() maps the box of B onto itself and keeps
-    both the set of B commuting with A and rank(M), so only the canonical
-    A of each orbit is enumerated, through the meet-in-the-middle oracle,
-    and its pairs are weighted by the orbit size.  Every enumerated pair
-    must satisfy M X = Y before its system is ranked exactly.  The class
-    totals sum to the oracle's commuting-pair count; rank 0 is exactly the
-    both-diagonal pairs, (2n+1)^6 of them.
+    both the set of B commuting with A and rank(M), so each worker
+    enumerates the canonical A among its ids, weighting their pairs by
+    orbit size; the canonical A must number orbit_count(n), with sizes
+    summing to (2n+1)^9.  Every pair must satisfy M X = Y before its system
+    is ranked exactly.  The classes sum to the oracle's count; rank 0 is
+    exactly the (2n+1)^6 both-diagonal pairs.
 
-    The budget is charged 96 (2n+1)^9 states for the canonicalization, then
-    (2n+1)^5 + (2n+1)^4 per representative for the half tabulations.  An n
-    past the oracle's key packing (n >= 5) is refused before either.
+    Before any work the budget is charged 96 (2n+1)^9 states for the
+    canonicalization and (2n+1)^5 + (2n+1)^4 per orbit for the joins.  An
+    n past the oracle's key packing (n >= 5) is refused before either.
     """
     MeetInMiddle3.key_base(n)
     budget = budget or WorkBudget()
     side = 2 * n + 1
+    orbits = orbit_count(n)
     budget.require(len(orbit_group()[0]) * side**9, "3x3 orbit canonicalization")
-    reps, sizes = orbit_representatives(n)
-    budget.require(len(reps) * (side**5 + side**4), "3x3 rank classification")
-    counts = _parallel_over_a(_classify_reps, n, len(reps), threads, reps, sizes)
+    budget.require(orbits * (side**5 + side**4), "3x3 rank classification")
+    *counts, found, total = _parallel_over_a(_classify_range, n, threads)
+    if found != orbits or total != side**9:
+        raise InvariantViolation("the canonical 3x3 A disagree with Burnside's orbit count")
     return RankClassCounts(n=n, s=tuple(int(c) for c in counts))
 
 

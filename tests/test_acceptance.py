@@ -4,13 +4,13 @@ criterion (visible with ``pytest -s`` or in any failure report; ``pytest -v``
 additionally shows one test per criterion).
 
 Runtime is dominated by the p-adic oracle sweep (criterion 6, every modulus
-with p^6n <= 10^9, ~5 s) and the size-500 progression correlations
-(criterion 11, ~4 s); the whole battery takes about 10 s single-core.
-Criterion 9 repeats the 3x3 classification at N = 2 only when
+with p^6n <= 10^9, 4.0 s) and the size-500 progression correlations
+(criterion 11, 3.2 s); the whole battery took 9.3 s on one core of a
+2-vCPU Xeon.  Criterion 9 repeats the 3x3 classification at N = 2 only when
 COMMUCOUNT_ACCEPT_FULL=1 is set: that point classifies 22369 orbit
-representatives (~25 s on one core) and checks their total against the
-oracle, which enumerates 5^9 * (5^5 + 5^4) ~ 7.3e9 states (~5 min on one
-core).
+representatives (12 s on one core) and checks their total against the
+oracle, which enumerates 5^9 * (5^5 + 5^4) ~ 7.3e9 states (190 s on one
+core; the whole test took 65-112 s with two workers on the same machine).
 """
 
 import os

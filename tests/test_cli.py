@@ -186,6 +186,25 @@ def test_moments_and_dx(capsys):
     assert res["diagnostics"]["per_x_log2x"] > 0
 
 
+@pytest.mark.parametrize("n, k", [(1, 300), (50, 190)])
+def test_moments_past_the_float_range_gives_null_ratios(capsys, n, k):
+    """I_k / N^(2k+2) leaves the float range here (at N = 1 it is I_k
+    itself); the exact value is still printed, that ratio is null and the
+    other one, I_k / (2N)^(2k+2), a float."""
+    code, out, _ = run_cli(capsys, "moments", "--n", str(n), "--k", str(k))
+    assert code == 0
+    (res,) = json_lines(out)
+    value = int(res["value"])
+    assert value > 2**1024 * n ** (2 * k + 2)
+    assert res["diagnostics"] == {
+        "per_n_pow": None,
+        "per_side_pow": value / (2 * n) ** (2 * k + 2),
+    }
+    code, out, _ = run_cli(capsys, "moments", "--n", str(n), "--k", str(k), "--format", "csv")
+    assert code == 0
+    assert "per_n_pow,null," in out
+
+
 def test_doubling_with_lemma61(capsys, tmp_path):
     setfile = tmp_path / "ap.txt"
     setfile.write_text("1\n2\n3\n5/2\n")

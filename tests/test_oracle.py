@@ -292,8 +292,9 @@ def test_partner_pairs_of_a_block_match_per_a_partners():
     assert np.bincount(row, minlength=400).tolist() == mim.count_block(a).tolist()
 
 
-def _sum_range(n, lo, hi, offset):
-    return sum(range(lo, hi)) + offset
+def _sum_range(n, lo, hi):
+    """The sum of the range's ids, and 1 for the part."""
+    return np.array([sum(range(lo, hi)), 1])
 
 
 def _interrupted_range(n, lo, hi):
@@ -303,13 +304,14 @@ def _interrupted_range(n, lo, hi):
 
 
 def test_parallel_over_a_sums_the_parts():
-    assert _parallel_over_a(_sum_range, 0, 100, 3, 1) == sum(range(100)) + 3
-    assert _parallel_over_a(_sum_range, 0, 100, 1, 1) == sum(range(100)) + 1
+    assert _parallel_over_a(_sum_range, 1, 3).tolist() == [sum(range(3**9)), 3]
+    assert _parallel_over_a(_sum_range, 1, 1).tolist() == [sum(range(3**9)), 1]
+    assert _parallel_over_a(_sum_range, 0, 3).tolist() == [0, 1]
 
 
 def test_interrupt_in_a_worker_terminates_the_pool(time_limit):
     with time_limit(60), pytest.raises(KeyboardInterrupt):
-        _parallel_over_a(_interrupted_range, 0, 10, 2)
+        _parallel_over_a(_interrupted_range, 1, 2)
     assert multiprocessing.active_children() == []
 
 

@@ -29,6 +29,7 @@ from commucount.rank3 import (
     lower_bound_E,
     lower_bound_certificate,
     matrix_rank_exact,
+    orbit_count,
     orbit_group,
     orbit_representatives,
 )
@@ -209,7 +210,7 @@ def test_ranking_the_distinct_systems_gives_every_pairs_rank():
     systems scattered back, and both give the classification's weighted
     histogram."""
     mim = MeetInMiddle3(1)
-    reps, sizes = orbit_representatives(1)
+    reps, sizes = orbit_representatives(1, 0, 3**9)
     a = a_rows(1, reps)
     assert len(a) <= mim.max_rows
     row, i1, i2 = mim.partner_pairs(a)
@@ -275,6 +276,14 @@ def test_classification_at_n0():
     assert rc.total() == 1
 
 
+def test_classification_is_the_same_for_any_worker_count():
+    """Each worker canonicalizes and joins its own range of ids; the split
+    leaves the classes unchanged, and n = 0, one id, takes one worker."""
+    for threads in (1, 2, 3):
+        assert classify_commuting_3x3(1, threads=threads).s == (729, 19872, 194016, 116352, 44448)
+    assert classify_commuting_3x3(0, threads=2).s == (1, 0, 0, 0, 0)
+
+
 def test_classification_budget_gate():
     with pytest.raises(BudgetExceeded):
         classify_commuting_3x3(2, WorkBudget(10**6))
@@ -287,12 +296,28 @@ def test_classification_refuses_n5_before_canonicalizing(monkeypatch, time_limit
     the 11^9 ids are canonicalized, whatever the budget."""
     import commucount.rank3 as rank3
 
-    def started(n):
+    def started(n, lo, hi):
         raise AssertionError("canonicalization started")
 
-    monkeypatch.setattr(rank3, "orbit_representatives", started)
+    monkeypatch.setattr(rank3, "_orbit_images", started)
     with time_limit(10), pytest.raises(ValueError, match="n=5 overflows"):
         classify_commuting_3x3(5, WorkBudget(10**12))
+
+
+def test_classification_refuses_the_join_before_canonicalizing(monkeypatch, time_limit):
+    """At n = 3 the canonicalization's 96 * 7^9 ~ 3.9e9 states fit a budget
+    of 5e9 but the join's 434524 * (7^5 + 7^4) ~ 8.3e9 do not; the orbit
+    count is known up front, so the refusal comes before any id is
+    canonicalized."""
+    import commucount.rank3 as rank3
+
+    def started(n, lo, hi):
+        raise AssertionError("canonicalization started")
+
+    monkeypatch.setattr(rank3, "_orbit_images", started)
+    with time_limit(10), pytest.raises(BudgetExceeded) as refused:
+        classify_commuting_3x3(3, WorkBudget(5 * 10**9))
+    assert refused.value.states == 434524 * (7**5 + 7**4)
 
 
 def test_classification_charge_covers_the_states_visited(monkeypatch):
@@ -391,10 +416,10 @@ def test_group_keeps_counts_and_rank_histograms():
 
 
 def test_orbit_representatives_at_n1():
-    reps, sizes = orbit_representatives(1)
+    reps, sizes = orbit_representatives(1, 0, 3**9)
     assert len(reps) == 322
     assert int(sizes.sum()) == 3**9
-    assert orbit_representatives(0)[0].tolist() == [0]
+    assert orbit_representatives(0, 0, 1)[0].tolist() == [0]
     # each representative is the smallest id of its orbit, and its orbit
     # size is the number of distinct images, computed entry by entry
     place = 3 ** np.arange(8, -1, -1)
@@ -405,13 +430,84 @@ def test_orbit_representatives_at_n1():
         assert len(ids) == size
 
 
+def test_orbit_representatives_of_a_split_are_those_of_the_whole():
+    reps, sizes = orbit_representatives(1, 0, 3**9)
+    cuts = [0, 1, 1000, 1001, 7777, 3**9 - 2, 3**9]
+    parts = [orbit_representatives(1, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), reps)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), sizes)
+
+
+def test_orbit_count_is_the_number_of_canonical_a():
+    from commucount.rank3 import _CANON_ROWS
+
+    assert [orbit_count(n) for n in range(4)] == [1, 322, 22369, 434524]
+    for n in range(3):
+        n_a = (2 * n + 1) ** 9
+        found = sum(
+            len(orbit_representatives(n, lo, min(lo + _CANON_ROWS, n_a))[0])
+            for lo in range(0, n_a, _CANON_ROWS)
+        )
+        assert orbit_count(n) == found
+
+
 def test_orbit_representatives_reject_a_broken_group(monkeypatch):
     import commucount.rank3 as rank3
 
     src, sign = orbit_group()
     monkeypatch.setattr(rank3, "orbit_group", lambda: (src[:95], sign[:95]))
     with pytest.raises(InvariantViolation):
-        orbit_representatives(1)
+        orbit_representatives(1, 0, 3**9)
+    with pytest.raises(InvariantViolation):
+        classify_commuting_3x3(1, threads=1)
+
+
+def overwrite_a_column(images):
+    images[:, 5] = images[:, 6]
+
+
+def shift_a_column(images):
+    images[:, 5] += 1
+
+
+@pytest.mark.parametrize("corrupt", [overwrite_a_column, shift_a_column])
+def test_classification_rejects_corrupted_orbit_images(monkeypatch, corrupt):
+    import commucount.rank3 as rank3
+
+    real_images = rank3._orbit_images
+
+    def images(n, lo, hi):
+        out = real_images(n, lo, hi)
+        corrupt(out)
+        return out
+
+    monkeypatch.setattr(rank3, "_orbit_images", images)
+    with pytest.raises(InvariantViolation):
+        classify_commuting_3x3(1, threads=1)
+
+
+def drop_an_orbit(reps, sizes):
+    """One canonical A fewer, its size moved to the next, so the sizes still
+    sum to (2n+1)^9."""
+    return reps[1:], sizes[1:] + (np.arange(len(sizes) - 1) == 0) * sizes[0]
+
+
+def miscount_an_orbit(reps, sizes):
+    return reps, sizes + (np.arange(len(sizes)) == 0)
+
+
+@pytest.mark.parametrize("corrupt", [drop_an_orbit, miscount_an_orbit])
+def test_classification_checks_the_orbits_the_workers_found(monkeypatch, corrupt):
+    """The workers' canonical A must number orbit_count(n) and their sizes
+    sum to (2n+1)^9."""
+    import commucount.rank3 as rank3
+
+    real_representatives = rank3.orbit_representatives
+    monkeypatch.setattr(
+        rank3, "orbit_representatives", lambda n, lo, hi: corrupt(*real_representatives(n, lo, hi))
+    )
+    with pytest.raises(InvariantViolation):
+        classify_commuting_3x3(1, threads=1)
 
 
 # --- lower bounds -----------------------------------------------------------------
