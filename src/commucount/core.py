@@ -120,12 +120,41 @@ def _power_sum(k: int, t: int) -> int:
 
 
 def _sieve_cutoff(n: int) -> int:
-    """Largest v whose power sums are read from the sieve: 10*(2n)^(2/3),
-    capped by n and by the int64 bound.  Above it every value costs
-    O(sqrt(v)) Python steps, below it every entry a few numpy operations.
-    Of the factors 4 to 24 timed on gamma_split plus r_zero for n = 10^3 ..
-    10^6, 6 to 10 were the fastest."""
+    """Largest v whose power sums are read from the prefix table:
+    10*(2n)^(2/3), capped by n and by the int64 bound.  Above it every value
+    costs O(sqrt(v)) Python steps; below it the table is built once, a few
+    numpy operations per entry, and shared by every later call with a cutoff
+    no longer than its own.  Of the factors 4 to 24 timed on gamma_split
+    plus r_zero for n = 10^3 .. 10^6, with a sieve per call, 6 to 10 were
+    the fastest."""
     return min(n, _SIEVE_CAP, 10 * math.ceil((2 * n) ** (2 / 3)))
+
+
+# S_k(v) = _prefix[k, v] for k = 0..2 and every v the table reaches: one
+# table per process, at most 3 x (_SIEVE_CAP + 1) int64 (1.85 MB).
+_prefix: np.ndarray | None = None
+
+
+def _prefix_table(cut: int) -> np.ndarray:
+    """The shared table of S_0, S_1 and S_2 up to at least `cut`.  A longer
+    cutoff than the table's rebuilds it to exactly that cutoff, so no call
+    sieves past its own; a shorter one reuses it as it is."""
+    global _prefix
+    table = _prefix
+    if table is None or table.shape[1] <= cut:
+        # Free the old table before sieving and phi before m, so the build
+        # holds no more than the sieve itself did.
+        _prefix = table = None
+        phi = totient_sieve(cut)
+        table = np.empty((3, cut + 1), dtype=np.int64)
+        table[0] = phi
+        del phi
+        m = np.arange(cut + 1, dtype=np.int64)
+        np.multiply(table[0], m, out=table[1])
+        np.multiply(table[1], m, out=table[2])
+        np.cumsum(table, axis=1, out=table)
+        _prefix = table
+    return table
 
 
 def power_sum_work(n: int, degree: int) -> int:
@@ -154,8 +183,10 @@ def totient_power_sums(n: int, degree: int) -> PowerSums:
     v = 2n // j, j >= 2: the right ends of the ranges of m in 1..n on which
     (2n)//m, and so n//m, is constant.  Exact, O(n^(2/3)) steps.
 
-    Up to the cutoff T ~ (2n)^(2/3) the sums are int64 prefix sums over a
-    totient sieve.  Above it they follow Du's recursion
+    Up to the cutoff T ~ (2n)^(2/3) the sums are read from the process's
+    int64 prefix table (_prefix_table), which sieves the totient only when
+    T is longer than every cutoff before it.  Above it they follow Du's
+    recursion
         S_k(v) = sum_{i <= v} i^(k+1) - sum_{d >= 2} d^k * S_k(v // d),
     the identity (phi * id^k) * id^k = id^(k+1) summed up to v, with d
     grouped into the ranges where v // d is constant.  Every v // d is again
@@ -173,13 +204,12 @@ def totient_power_sums(n: int, degree: int) -> PowerSums:
     ends += [v for v in (x // j for j in range(r, 1, -1)) if v > ends[-1]]
     cut = _sieve_cutoff(n)
     low = bisect_right(ends, cut)
-    phi = totient_sieve(cut)
-    m = np.arange(cut + 1, dtype=np.int64)
+    prefix = _prefix_table(cut)
     at = np.asarray(ends[:low], dtype=np.int64)
     columns = []
     steps = cut + 1
     for k in range(degree + 1):
-        table = dict(zip(ends[:low], np.cumsum(phi * m**k)[at].tolist()))
+        table = dict(zip(ends[:low], prefix[k, at].tolist()))
         for v in ends[low:]:
             total = _power_sum(k + 1, v)
             d, before = 2, 1

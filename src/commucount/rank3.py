@@ -402,16 +402,19 @@ def classify_commuting_3x3(
     is ranked exactly.  The classes sum to the oracle's count; rank 0 is
     exactly the (2n+1)^6 both-diagonal pairs.
 
-    Before any work the budget is charged 96 (2n+1)^9 states for the
-    canonicalization and (2n+1)^5 + (2n+1)^4 per orbit for the joins.  An
-    n past the oracle's key packing (n >= 5) is refused before either.
+    Before any work the budget is charged, in one sum, 96 (2n+1)^9 states
+    for the canonicalization and (2n+1)^5 + (2n+1)^4 per orbit for the
+    joins.  An n past the oracle's key packing (n >= 5) is refused before
+    that.
     """
     MeetInMiddle3.key_base(n)
     budget = budget or WorkBudget()
     side = 2 * n + 1
     orbits = orbit_count(n)
-    budget.require(len(orbit_group()[0]) * side**9, "3x3 orbit canonicalization")
-    budget.require(orbits * (side**5 + side**4), "3x3 rank classification")
+    budget.require(
+        len(orbit_group()[0]) * side**9 + orbits * (side**5 + side**4),
+        "3x3 orbit canonicalization and rank classification",
+    )
     *counts, found, total = _parallel_over_a(_classify_range, n, threads)
     if found != orbits or total != side**9:
         raise InvariantViolation("the canonical 3x3 A disagree with Burnside's orbit count")

@@ -378,6 +378,14 @@ def test_count3_classify_past_the_key_packing_exits_2_promptly():
     assert proc.stderr.splitlines() == ["error: n=5 overflows the int64 key packing"]
 
 
+def test_count3_classify_at_n3_exits_3_promptly():
+    """Under the default budget the two charges of the classification at
+    n = 3 are refused together, before any id is canonicalized."""
+    proc = run_cli_process("count3", "--n", "3", "--classify")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "needs 12220283264 states, over the budget of 10000000000" in proc.stderr
+
+
 def test_budget_refusal_exits_3(capsys):
     code, _, err = run_cli(capsys, "count3", "--n", "2", "--budget", "100")
     assert code == 3

@@ -3,6 +3,7 @@ distributions, and the zeta constants everything downstream normalizes by.
 """
 
 import math
+import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import commucount.core as core
 from commucount.core import (
+    _sieve_cutoff,
     dependent_pair_constant,
     divisor_tau,
     is_prime,
@@ -239,6 +242,84 @@ def test_power_sum_work_bounds_the_steps(n, degree):
     steps = totient_power_sums(n, degree).steps
     work = power_sum_work(n, degree)
     assert steps <= work <= 2 * steps
+
+
+def fresh_power_sums(n, monkeypatch):
+    """totient_power_sums(n, d) for d = 0..2 from an empty prefix table,
+    with every block end up to the cutoff checked against the exact prefix
+    sums of a fresh sieve of exactly that cutoff."""
+    cut = _sieve_cutoff(n)
+    phi = totient_sieve(cut).astype(object)
+    m = np.arange(cut + 1, dtype=object)
+    low = [np.cumsum(phi * m**k) for k in range(3)]
+    monkeypatch.setattr(core, "_prefix", None)
+    sums = [totient_power_sums(n, degree) for degree in range(3)]
+    for end, row in zip(sums[2].ends, sums[2].sums):
+        if end <= cut:
+            assert list(row) == [low[k][end] for k in range(3)], (n, end)
+    return sums
+
+
+def check_every_order(ns, monkeypatch):
+    """The sums of every n are the same in ascending, descending and
+    shuffled call order, each pass starting from an empty table."""
+    expected = {n: fresh_power_sums(n, monkeypatch) for n in ns}
+    shuffled = list(ns)
+    random.Random(12).shuffle(shuffled)
+    for order in (sorted(ns), sorted(ns, reverse=True), shuffled):
+        monkeypatch.setattr(core, "_prefix", None)
+        for n in order:
+            assert [totient_power_sums(n, d) for d in range(3)] == expected[n], n
+
+
+def test_power_sums_from_the_table_match_a_fresh_sieve_up_to_2000(monkeypatch):
+    # For n <= 2000 the cutoff is n itself, so every block end is read from
+    # the table.
+    assert all(_sieve_cutoff(n) == n for n in range(1, 2001))
+    check_every_order(range(1, 2001), monkeypatch)
+
+
+def test_power_sums_from_the_table_match_a_fresh_sieve_up_to_1e7(monkeypatch):
+    rng = random.Random(7)
+    ns = {round(10 ** rng.uniform(3.3, 7)) for _ in range(8)} | {10**7}
+    check_every_order(sorted(ns), monkeypatch)
+
+
+def record_sieves(monkeypatch):
+    """Empty the prefix table and record the limit of every sieve after."""
+    limits = []
+    real = core.totient_sieve
+
+    def sieve(limit):
+        limits.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(core, "totient_sieve", sieve)
+    monkeypatch.setattr(core, "_prefix", None)
+    return limits
+
+
+def test_no_call_sieves_past_its_own_cutoff(monkeypatch):
+    limits = record_sieves(monkeypatch)
+    for n in (1, 7, 2000, 333, 10**4, 54321, 10**3, 10**6, 3 * 10**6, 10**5):
+        for degree in range(3):
+            limits.clear()
+            totient_power_sums(n, degree)
+            assert all(limit + 1 <= power_sum_work(n, degree) for limit in limits)
+            assert limits in ([], [_sieve_cutoff(n)])
+
+
+def test_a_shorter_cutoff_reuses_the_table(monkeypatch):
+    limits = record_sieves(monkeypatch)
+    totient_power_sums(10**4, 2)
+    assert limits == [_sieve_cutoff(10**4)]
+    assert core._prefix.shape == (3, _sieve_cutoff(10**4) + 1)
+    for n in (10**4, 5000, 2000, 100, 1):
+        totient_power_sums(n, 0)
+    assert limits == [_sieve_cutoff(10**4)]
+    totient_power_sums(10**5, 1)
+    assert limits == [_sieve_cutoff(10**4), _sieve_cutoff(10**5)]
+    assert core._prefix.shape == (3, _sieve_cutoff(10**5) + 1)
 
 
 def test_power_sums_reject_bad_arguments():

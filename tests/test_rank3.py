@@ -16,7 +16,13 @@ from commucount.errors import (
     InvariantViolation,
     UnsupportedDimension,
 )
-from commucount.oracle import MeetInMiddle3, WorkBudget, a_rows, brute_commuting_count
+from commucount.oracle import (
+    DEFAULT_MAX_STATES,
+    MeetInMiddle3,
+    WorkBudget,
+    a_rows,
+    brute_commuting_count,
+)
 from commucount.rank3 import (
     _pair_systems,
     batched_rank,
@@ -304,10 +310,15 @@ def test_classification_refuses_n5_before_canonicalizing(monkeypatch, time_limit
         classify_commuting_3x3(5, WorkBudget(10**12))
 
 
+# The charge of the classification at n = 3: 96 * 7^9 ~ 3.9e9 states for
+# the canonicalization plus 434524 * (7^5 + 7^4) ~ 8.3e9 for the joins.
+N3_CHARGE = 96 * 7**9 + 434524 * (7**5 + 7**4)
+
+
 def test_classification_refuses_the_join_before_canonicalizing(monkeypatch, time_limit):
-    """At n = 3 the canonicalization's 96 * 7^9 ~ 3.9e9 states fit a budget
-    of 5e9 but the join's 434524 * (7^5 + 7^4) ~ 8.3e9 do not; the orbit
-    count is known up front, so the refusal comes before any id is
+    """At n = 3 the canonicalization's 3.9e9 states alone would fit a
+    budget of 5e9; the orbit count is known up front, so the charge is the
+    sum of both phases and the refusal comes before any id is
     canonicalized."""
     import commucount.rank3 as rank3
 
@@ -317,7 +328,22 @@ def test_classification_refuses_the_join_before_canonicalizing(monkeypatch, time
     monkeypatch.setattr(rank3, "_orbit_images", started)
     with time_limit(10), pytest.raises(BudgetExceeded) as refused:
         classify_commuting_3x3(3, WorkBudget(5 * 10**9))
-    assert refused.value.states == 434524 * (7**5 + 7**4)
+    assert refused.value.states == N3_CHARGE
+
+
+def test_classification_at_n3_is_refused_by_the_default_budget(monkeypatch, time_limit):
+    """Each phase at n = 3 fits the default budget of 1e10 on its own, but
+    their sum of 1.22e10 does not."""
+    import commucount.rank3 as rank3
+
+    def started(n, lo, hi):
+        raise AssertionError("canonicalization started")
+
+    monkeypatch.setattr(rank3, "_orbit_images", started)
+    assert 96 * 7**9 < DEFAULT_MAX_STATES and 434524 * (7**5 + 7**4) < DEFAULT_MAX_STATES
+    with time_limit(10), pytest.raises(BudgetExceeded) as refused:
+        classify_commuting_3x3(3)
+    assert (refused.value.states, refused.value.max_states) == (N3_CHARGE, DEFAULT_MAX_STATES)
 
 
 def test_classification_charge_covers_the_states_visited(monkeypatch):
