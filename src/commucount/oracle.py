@@ -5,17 +5,22 @@ tuple in the stated domain and test the defining condition.  numpy only
 vectorizes the loops — no counting shortcut, no shared code with the fast
 counters in count2/divisor/padic (those are validated *against* this module).
 
-The 2x2 and residue enumerations test each pair's equations in sequence, as
-a short-circuit `and`: the first entry (or cross product) on every pair of
-a block, and the later ones only on the pairs that pass it.  That is still
-a literal test of every pair; no equation is skipped for a pair that passes
-the ones before it.
+The 2x2 and 3x3 commuting-pair counts share one meet-in-the-middle join:
+the entries of AB - BA are linear in B, so B's entries are split into two
+halves, both halves are tabulated for a block of A, and the halves are
+joined on the packed values of those entries.  That changes the constant,
+not the semantics: every candidate B is still explicitly generated and
+every match explicitly counted.
+
+The residue enumerations test each pair's equations in sequence, as a
+short-circuit `and`: the first cross product on every pair of a block, and
+the later ones only on the pairs that pass it.  That is still a literal
+test of every pair; no equation is skipped for a pair that passes the ones
+before it.
 
 Work budgets are mandatory and honest: each operation declares how many states
 its enumeration visits and refuses (BudgetExceeded) rather than silently
-grinding.  The 3x3 counter splits each inner linear system
-meet-in-the-middle, which changes the constant, not the semantics: every
-candidate B is still explicitly generated and every match explicitly counted.
+grinding.
 """
 
 from __future__ import annotations
@@ -80,76 +85,20 @@ def grid_tuples(n: int, k: int) -> np.ndarray:
     return (np.indices((side,) * k).reshape(k, -1).T - n).astype(np.int64)
 
 
-# --- 2x2 ---------------------------------------------------------------------
+# --- commuting pairs -----------------------------------------------------------
 
 
-# Pairs per block of the 2x2 and residue enumerations (at least one row of
-# A): 2^18 pairs make a 512 KB int16 block, whose passes stay in a core's
-# L2 cache; 2^23-pair blocks ran 1.7-2x slower.  The survivors' index
-# arrays hold at most one entry per pair of the block.
-_BLOCK_PAIRS = 2**18
-
-
-def _entry_dtype(n: int):
-    """int16 when no entry of AB - BA can overflow it: each entry is a sum
-    of four products of entries in [-n, n], and every partial sum on the way
-    is at most 4n^2 in absolute value."""
-    return np.int16 if 4 * n * n < 2**15 else np.int64
-
-
-def _commuting_2x2_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair A = a[:, i], B = b[:, j] with AB == BA, where a
-    and b hold the entries x1..x4 of [[x1, x2], [x3, x4]], one row each.
-
-    All four entries of AB - BA are tested, in sequence: e11 on every pair,
-    and e12, e21 and e22 only on the pairs where e11 == 0."""
-    a1, a2, a3, a4 = a
-    b1, b2, b3, b4 = b
-    e11 = a2[:, None] * b3
-    e11 -= a3[:, None] * b2
-    i, j = np.divmod(np.flatnonzero(e11 == 0), b.shape[1])
-    a1, a2, a3, a4 = a1[i], a2[i], a3[i], a4[i]
-    b1, b2, b3, b4 = b1[j], b2[j], b3[j], b4[j]
-    e12 = a1 * b2 + a2 * b4 - b1 * a2 - b2 * a4
-    e21 = a3 * b1 + a4 * b3 - b3 * a1 - b4 * a3
-    e22 = a3 * b2 - a2 * b3
-    ok = (e12 == 0) & (e21 == 0) & (e22 == 0)
-    return i[ok], j[ok]
-
-
-def _brute_2x2(n: int, budget: WorkBudget) -> int:
-    side = 2 * n + 1
-    budget.require(side**8, "2x2 commuting-pair enumeration")
-    # int16 up to n = 90, where no entry of AB - BA can leave its range, so
-    # the arithmetic is exact; int64 above.
-    T = grid_tuples(n, 4).T.astype(_entry_dtype(n), order="C")
-    rows = max(1, _BLOCK_PAIRS // T.shape[1])
-    total = 0
-    for lo in range(0, T.shape[1], rows):
-        i, _ = _commuting_2x2_pairs(T[:, lo : lo + rows], T)
-        total += len(i)
-    return total
-
-
-# --- 3x3 ---------------------------------------------------------------------
-
-# (i, j) targets of the 8 independent commutator entries; the (3,3) entry is
-# dropped because the commutator is traceless, so it vanishes automatically.
-_EQS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
-
-
-def _coef_tensor() -> np.ndarray:
+def _coef_tensor(d: int) -> np.ndarray:
     """coef[e, col, a] = coefficient of a_flat[a] in the col-th B-variable's
-    coefficient within commutator entry e (row-major flattening)."""
-    coef = np.zeros((8, 9, 9), dtype=np.int64)
-
-    def idx(r: int, c: int) -> int:
-        return 3 * (r - 1) + (c - 1)
-
-    for e, (i, j) in enumerate(_EQS):
-        for k in (1, 2, 3):
-            coef[e, idx(k, j), idx(i, k)] += 1  # A[i,k] * B[k,j]
-            coef[e, idx(i, k), idx(k, j)] -= 1  # -B[i,k] * A[k,j]
+    coefficient within commutator entry e (row-major flattening).  The
+    d^2 - 1 entries are those of AB - BA but (d, d): the commutator is
+    traceless, so that one vanishes with the others."""
+    coef = np.zeros((d * d - 1, d * d, d * d), dtype=np.int64)
+    for e in range(d * d - 1):
+        i, j = divmod(e, d)
+        for k in range(d):
+            coef[e, d * k + j, d * i + k] += 1  # A[i,k] * B[k,j]
+            coef[e, d * i + k, d * k + j] -= 1  # -B[i,k] * A[k,j]
     return coef
 
 
@@ -183,47 +132,55 @@ def _outer_sum(steps: np.ndarray, out: np.ndarray) -> None:
 
 
 class MeetInMiddle3:
-    """Solver for 3x3, a block of A at a time: the 8 commutator entries are
-    linear in B, so split B's nine entries 5|4, tabulate both halves, and
-    join on the packed 8-dimensional value vector.  Exact: every B in the
-    box is generated for every A.
+    """Solver for d x d pairs, d = 2 or 3, a block of A at a time: the
+    d^2 - 1 independent commutator entries are linear in B, so split B's
+    d^2 entries into halves of ceil(d^2 / 2) and floor(d^2 / 2) (5|4 at
+    d = 3, 2|2 at d = 2), tabulate both halves, and join on the packed
+    value vector.  Exact: every B in the box is generated for every A.
 
     The packing is linear too: a row's packed coefficient of each
-    B-variable is one entry of a @ wmat, so one (rows, 9) by (9, 9) product
-    gives a block's nine coefficients, and half 1's keys for A are
-    h1 @ w[:5] + const and half 2's are -h2 @ w[5:] + const.  Each half's
-    keys are an outer sum over its grid axes of coefficient times value,
-    written straight into one array of keys.  Row r of a block is shifted
-    by r * base^8, so no two rows share a key, and every key is doubled,
-    plus 1 on half 2, so that sorting a row puts each half-1 run of a value
-    right before its half-2 run; one sort and one pass over the block then
-    find every match.  `max_rows` keeps the keys below 2^63 and a block
-    near _BLOCK_KEYS keys."""
+    B-variable is one entry of a @ wmat, so one (rows, d^2) by (d^2, d^2)
+    product gives a block's coefficients, and with s = ceil(d^2 / 2), half
+    1's keys for A are h1 @ w[:s] + const and half 2's are
+    -h2 @ w[s:] + const.  Each half's keys are an outer sum over its grid
+    axes of coefficient times value, written straight into one array of
+    keys.  Row r of a block is shifted by r * key_span, so no two rows
+    share a key, and every key is doubled, plus 1 on half 2, so that
+    sorting a row puts each half-1 run of a value right before its half-2
+    run; one sort and one pass over the block then find every match.
+    `max_rows` keeps the keys below 2^63 and a block near _BLOCK_KEYS keys.
+
+    The name is that of the 3x3 solver this class began as; the benchmark
+    under perfbench/ traces its methods by that name, so a rename waits for
+    a change to the benchmark."""
 
     @staticmethod
-    def key_base(n: int) -> int:
-        """2 * 6n^2 + 1, as each half adds at most 6n^2 in absolute value to
-        an equation: the keys' radix.  ValueError for n >= 5, where base^8
-        reaches 2^63."""
+    def key_base(n: int, d: int = 3) -> int:
+        """2 * 2dn^2 + 1, as the 2d products of an entry of AB - BA add at
+        most 2dn^2 in absolute value to it, on either half: the keys'
+        radix.  ValueError where a row's doubled keys would span more than
+        2^63, 2 * base^(d^2 - 1) > 2^63: for n >= 5 at d = 3 and n >= 457
+        at d = 2."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        base = 12 * n * n + 1
-        if base**8 >= 2**63:
+        base = 4 * d * n * n + 1
+        if 2 * base ** (d * d - 1) > 2**63:
             raise ValueError(f"n={n} overflows the int64 key packing")
         return base
 
-    def __init__(self, n: int):
-        base = self.key_base(n)
+    def __init__(self, n: int, d: int = 3):
+        base = self.key_base(n, d)
+        eqs = d * d - 1
         self.n = n
         self.side = 2 * n + 1
-        self.h1 = grid_tuples(n, 5)
-        self.h2 = grid_tuples(n, 4)
-        pows = base ** np.arange(8, dtype=np.int64)
+        self.h1 = grid_tuples(n, (d * d + 1) // 2)
+        self.h2 = grid_tuples(n, d * d // 2)
+        pows = base ** np.arange(eqs, dtype=np.int64)
         # wmat[a, col] = sum_e pows[e] * (coefficient of a_flat[a] in the
         # col-th B-variable's coefficient within commutator entry e).
-        self.wmat = np.einsum("e,eca->ac", pows, _coef_tensor())
+        self.wmat = np.einsum("e,eca->ac", pows, _coef_tensor(d))
         self.key_const = (base // 2) * int(pows.sum())
-        self.key_span = 2 * base**8
+        self.key_span = 2 * base**eqs
         self.width = len(self.h1) + len(self.h2)
         self.max_rows = max(1, min(2**63 // self.key_span, _BLOCK_KEYS // self.width))
 
@@ -237,14 +194,15 @@ class MeetInMiddle3:
         # row r's doubled key, negated on half 2.  The first axis of each
         # half also carries the row shift, the constant and the half bit.
         steps = (2 * a_block @ self.wmat)[:, :, None] * np.arange(-self.n, self.n + 1)
-        steps[:, 5:] *= -1
+        split = self.h1.shape[1]
+        steps[:, split:] *= -1
         start = 2 * self.key_const + self.key_span * np.arange(rows, dtype=np.int64)[:, None]
         steps[:, 0] += start
-        steps[:, 5] += start + 1
+        steps[:, split] += start + 1
         keys = np.empty((rows, self.width), dtype=np.int64)
         w1 = len(self.h1)
-        _outer_sum(steps[:, :5], keys[:, :w1])
-        _outer_sum(steps[:, 5:], keys[:, w1:])
+        _outer_sum(steps[:, :split], keys[:, :w1])
+        _outer_sum(steps[:, split:], keys[:, w1:])
         if not order:
             keys.sort(axis=1)
             return keys.ravel(), None
@@ -270,7 +228,7 @@ class MeetInMiddle3:
         last1, start, end = self._shared_runs(keys)
         pairs = (last1 + 1 - start) * (end - last1 - 1)
         rows = keys[last1] // self.key_span
-        # float64 weights are exact: a row's count is at most (2n+1)^9 < 2^53.
+        # float64 weights are exact: a row's count is at most (2n+1)^(d^2) < 2^53.
         return np.bincount(rows, weights=pairs, minlength=len(a_block)).astype(np.int64)
 
     def partner_pairs(self, a_block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,27 +307,42 @@ def _count3_range(n: int, lo: int, hi: int) -> int:
     return total
 
 
-def _brute_3x3(n: int, budget: WorkBudget, threads: int | None) -> int:
-    budget.require(states_3x3(n), "3x3 commuting-pair enumeration")
-    return _parallel_over_a(_count3_range, n, threads)
-
-
 def brute_commuting_count(
     d: int, n: int, budget: WorkBudget | None = None, threads: int | None = None
 ) -> int:
     """Number of ordered pairs (A, B) of d x d integer matrices with entries
-    in [-n, n] and AB == BA, by exhaustive enumeration."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    in [-n, n] and AB == BA, by exhaustive enumeration: the join over every
+    A, a block of `max_rows` at a time.
+
+    An n past the key packing is refused (ValueError) before the budget is
+    charged, and the budget is charged before any key is built: every A
+    times both halves of the B tabulation.  The 3x3 count splits the A over
+    `threads` worker processes; the 2x2 count runs in this process, where a
+    pool would cost more than the whole join."""
+    if d not in (2, 3):
+        raise UnsupportedDimension(f"no oracle for d={d}; supported: 2, 3")
+    MeetInMiddle3.key_base(n, d)
     budget = budget or WorkBudget()
-    if d == 2:
-        return _brute_2x2(n, budget)
     if d == 3:
-        return _brute_3x3(n, budget, threads)
-    raise UnsupportedDimension(f"no oracle for d={d}; supported: 2, 3")
+        budget.require(states_3x3(n), "3x3 commuting-pair enumeration")
+        return _parallel_over_a(_count3_range, n, threads)
+    side = 2 * n + 1
+    budget.require(side**4 * 2 * side**2, "2x2 commuting-pair enumeration")
+    mim = MeetInMiddle3(n, d=2)
+    a = grid_tuples(n, 4)
+    return sum(
+        int(mim.count_block(a[lo : lo + mim.max_rows]).sum())
+        for lo in range(0, len(a), mim.max_rows)
+    )
 
 
 # --- p-adic ------------------------------------------------------------------
+
+# Pairs per block of the residue enumeration (at least one row of x):
+# 2^18 pairs make a 512 KB int16 block, whose passes stay in a core's L2
+# cache; 2^23-pair blocks ran 1.7-2x slower.  The survivors' index arrays
+# hold at most one entry per pair of the block.
+_BLOCK_PAIRS = 2**18
 
 
 def _valuation_table(p: int, n: int, q: int) -> np.ndarray:
@@ -400,14 +373,12 @@ def _divisible(e: np.ndarray, q: int) -> np.ndarray:
     return d == e
 
 
-def _residue_pairs(
-    x: np.ndarray, y: np.ndarray, q: int, degenerate_only: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _residue_pairs(x: np.ndarray, y: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) of every pair of residue triples x[:, i] = (x2, x3, x4) and
     y[:, j] = (y2, y3, y4) whose three cross products x_k*y_l - x_l*y_k
-    vanish mod q; with `degenerate_only`, also x2*y3 and x3*y2.
+    vanish mod q.
 
-    The first cross product is tested on every pair, and the later tests
+    The first cross product is tested on every pair, and the later two
     only on the pairs that pass it."""
     x2, x3, x4 = x
     y2, y3, y4 = y
@@ -417,18 +388,20 @@ def _residue_pairs(
     a2, a3, a4 = x2[i], x3[i], x4[i]
     b2, b3, b4 = y2[j], y3[j], y4[j]
     ok = _divisible(a2 * b4 - a4 * b2, q) & _divisible(a3 * b4 - a4 * b3, q)
-    if degenerate_only:
-        ok &= _divisible(a2 * b3, q) & _divisible(a3 * b2, q)
     return i[ok], j[ok]
 
 
-def _padic_enumerate(
-    p: int,
-    n: int,
-    budget: WorkBudget,
-    classify: bool = False,
-    degenerate_only: bool = False,
-):
+def _doubly_null(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """For residue triples x[:, k] and y[:, k]: x2*y3 = x3*y2 = 0 mod q."""
+    return _divisible(x[0] * y[1], q) & _divisible(x[1] * y[0], q)
+
+
+def _residue_solutions(p: int, n: int, budget: WorkBudget):
+    """The residue triples T = [0, q)^3, q = p^n, one column each in
+    lexicographic order, and an iterator over the solutions of the three
+    cross-product equations mod q, a block at a time, as index arrays
+    (i, j): x = T[:, i], y = T[:, j].  p and n are checked, and q^6 states
+    charged, before T is built."""
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if n < 1:
@@ -440,32 +413,29 @@ def _padic_enumerate(
     dtype = _residue_dtype(q)
     budget.require(q**6, "residue-tuple enumeration")
     T = np.indices((q, q, q), dtype=dtype).reshape(3, -1)
-    if classify:
-        vt = _valuation_table(p, n, q)
-        vmin = np.minimum(np.minimum(vt[T[0]], vt[T[1]]), vt[T[2]])
-        hist = np.zeros(n + 1, dtype=np.int64)
-    total = 0
     rows = max(1, _BLOCK_PAIRS // T.shape[1])
-    for lo in range(0, T.shape[1], rows):
-        i, j = _residue_pairs(T[:, lo : lo + rows], T, q, degenerate_only)
-        total += len(i)
-        if classify:
-            hist += np.bincount(np.minimum(vmin[lo + i], vmin[j]), minlength=n + 1)
-    if classify:
-        return total, {h: int(hist[h]) for h in range(n + 1)}
-    return total
+
+    def blocks():
+        for lo in range(0, T.shape[1], rows):
+            i, j = _residue_pairs(T[:, lo : lo + rows], T, q)
+            yield lo + i, j
+
+    return T, blocks()
 
 
 def brute_padic_solutions(p: int, n: int, budget: WorkBudget | None = None) -> int:
     """Number of (x2, x3, x4, y2, y3, y4) in (Z/p^n)^6 with all three cross
     products x_i*y_j - x_j*y_i = 0 (i < j) mod p^n, by full enumeration."""
-    return _padic_enumerate(p, n, budget or WorkBudget())
+    _, solutions = _residue_solutions(p, n, budget or WorkBudget())
+    return sum(len(i) for i, _ in solutions)
 
 
 def brute_degenerate_padic(p: int, n: int, budget: WorkBudget | None = None) -> int:
     """Same enumeration, restricted to solutions whose first cross pattern is
     doubly null: x2*y3 = x3*y2 = 0 mod p^n."""
-    return _padic_enumerate(p, n, budget or WorkBudget(), degenerate_only=True)
+    T, solutions = _residue_solutions(p, n, budget or WorkBudget())
+    q = p**n
+    return sum(int(_doubly_null(T[:, i], T[:, j], q).sum()) for i, j in solutions)
 
 
 def brute_valuation_classes(
@@ -473,8 +443,13 @@ def brute_valuation_classes(
 ) -> ValuationClassCounts:
     """Solution counts bucketed by h = min over the six coordinates of
     min(v_p, n); buckets 0..n, summing to brute_padic_solutions(p, n)."""
-    _, classes = _padic_enumerate(p, n, budget or WorkBudget(), classify=True)
-    return ValuationClassCounts(p=p, n=n, classes=classes)
+    T, solutions = _residue_solutions(p, n, budget or WorkBudget())
+    vt = _valuation_table(p, n, p**n)
+    vmin = np.minimum(np.minimum(vt[T[0]], vt[T[1]]), vt[T[2]])
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for i, j in solutions:
+        hist += np.bincount(np.minimum(vmin[i], vmin[j]), minlength=n + 1)
+    return ValuationClassCounts(p=p, n=n, classes={h: int(hist[h]) for h in range(n + 1)})
 
 
 # --- autocorrelation table ---------------------------------------------------

@@ -60,7 +60,7 @@ class CriterionResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.key}: {self.name}"
 
 
-def criterion_oracle_2x2(max_n: int = 4, budget: WorkBudget | None = None) -> CriterionResult:
+def criterion_oracle_2x2(max_n: int = 6, budget: WorkBudget | None = None) -> CriterionResult:
     """The closed-form 2x2 counter equals exhaustive enumeration."""
     budget = budget or WorkBudget()
     counts = {}

@@ -42,8 +42,8 @@ def check(result):
 
 
 def test_criterion_01_count2_equals_oracle():
-    # exact equality against exhaustive enumeration for N = 0..4
-    check(criterion_oracle_2x2(max_n=4))
+    # exact equality against exhaustive enumeration for N = 0..6
+    check(criterion_oracle_2x2(max_n=6))
 
 
 def test_criterion_02_main_term_constant():

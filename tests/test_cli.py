@@ -378,6 +378,14 @@ def test_count3_classify_past_the_key_packing_exits_2_promptly():
     assert proc.stderr.splitlines() == ["error: n=5 overflows the int64 key packing"]
 
 
+def test_count3_past_the_key_packing_exits_2_promptly():
+    """The oracle checks its key packing before it charges the default
+    budget, which n = 5 would exceed, and before it starts any worker."""
+    proc = run_cli_process("count3", "--n", "5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: n=5 overflows the int64 key packing"]
+
+
 def test_count3_classify_at_n3_exits_3_promptly():
     """Under the default budget the two charges of the classification at
     n = 3 are refused together, before any id is canonicalized."""

@@ -9,13 +9,13 @@ import os
 import numpy as np
 import pytest
 
+from commucount import oracle
 from commucount.errors import BudgetExceeded, NotPrime, UnsupportedDimension
 from commucount.oracle import (
     _BLOCK_KEYS,
     MeetInMiddle3,
-    _commuting_2x2_pairs,
     _count3_range,
-    _entry_dtype,
+    _doubly_null,
     _parallel_over_a,
     _residue_dtype,
     _residue_pairs,
@@ -68,28 +68,6 @@ def tuples_over(vals, k):
     return np.array(np.meshgrid(*[vals] * k, indexing="ij")).reshape(k, -1)
 
 
-def test_2x2_kernel_at_the_largest_int16_entries():
-    """Full enumeration at n = 90 is out of reach, so the kernel is fed the
-    extreme entries directly and compared with Python-int arithmetic."""
-    n = 90
-    assert _entry_dtype(n) == np.int16 and _entry_dtype(n + 1) == np.int64
-    assert 4 * n * n <= np.iinfo(np.int16).max < 4 * (n + 1) ** 2
-    t = tuples_over((-n, -n + 1, 0, n - 1, n), 4)
-    a = t.astype(np.int16)
-    i, j = _commuting_2x2_pairs(a[:, :200], a)
-    got = set(zip(i.tolist(), j.tolist()))
-    cols = t.T.tolist()
-    want = set()
-    for r, (a1, a2, a3, a4) in enumerate(cols[:200]):
-        for c, (b1, b2, b3, b4) in enumerate(cols):
-            ab = (a1 * b1 + a2 * b3, a1 * b2 + a2 * b4, a3 * b1 + a4 * b3, a3 * b2 + a4 * b4)
-            ba = (b1 * a1 + b2 * a3, b1 * a2 + b2 * a4, b3 * a1 + b4 * a3, b3 * a2 + b4 * a4)
-            if ab == ba:
-                want.add((r, c))
-    assert got == want
-    assert len(want) > 200  # the scalar matrices alone commute with everything
-
-
 def test_brute_counts_at_n0():
     # Only the zero matrix: it commutes with itself.
     assert brute_commuting_count(2, 0) == 1
@@ -106,7 +84,8 @@ def test_unsupported_dimension():
 def test_budget_refusals_are_typed_and_informative():
     with pytest.raises(BudgetExceeded) as exc:
         brute_commuting_count(2, 4, WorkBudget(1000))
-    assert exc.value.states == 9**8
+    # Every A, 9^4, times both halves of the join's B tabulation, 2 * 9^2.
+    assert exc.value.states == 2 * 9**6
     assert exc.value.max_states == 1000
     with pytest.raises(BudgetExceeded):
         brute_commuting_count(3, 2, WorkBudget(10**6))
@@ -180,64 +159,92 @@ def test_meet_in_middle_matches_direct_scan_at_n2():
         assert {tuple(b) for b in mim.partners_for_a(a_flat).tolist()} == direct
 
 
-# The commutator entries the keys pack, digit e for entry _KEY_ENTRIES[e]
-# (0-based row, column); the (3, 3) entry is dropped.
-_KEY_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
-
-
-def _literal_commutator(a, b):
-    """AB - BA of two row-major flattened 3x3 matrices, in Python ints."""
+def _literal_commutator(a, b, d):
+    """AB - BA of two row-major flattened d x d matrices, in Python ints."""
     return [
-        [sum(a[3 * i + k] * b[3 * k + j] - b[3 * i + k] * a[3 * k + j] for k in range(3))
-         for j in range(3)]
-        for i in range(3)
+        [sum(a[d * i + k] * b[d * k + j] - b[d * i + k] * a[d * k + j] for k in range(d))
+         for j in range(d)]
+        for i in range(d)
     ]
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_keys_unpack_to_the_half_commutators(n):
+def check_keys_unpack(mim, d, a, positions_per_block=None, seed=0):
     """Every key of row r is r * key_span + 2 * v + h, h = 0 on half 1 and
-    1 on half 2, and the base-key_base(n) digit e of v, less key_base(n) //
-    2, is entry _KEY_ENTRIES[e] of [A, B1] for half 1, where B1 holds the
-    half's five entries of B and zeros, or of -[A, B2] for half 2, where B2
-    holds its last four.  Checked with Python ints on random blocks with the
-    zero and a scalar A, on every key up to n = 2 and on 3000 keys a block
-    at n = 3, 4."""
-    mim = MeetInMiddle3(n)
-    base = MeetInMiddle3.key_base(n)
-    rng = np.random.default_rng(100 + n)
-    a = rng.integers(-n, n + 1, (5, 9))
-    a[0] = 0
-    a[1] = np.diag([n, n, n]).ravel()
-    w1 = len(mim.h1)
+    1 on half 2, and the base-key_base(n, d) digit e of v, less
+    key_base(n, d) // 2, is row-major entry e of [A, B1] for half 1, where
+    B1 holds the half's first entries of B and zeros, or of -[A, B2] for
+    half 2, where B2 holds its last ones; the (d, d) entry is not packed.
+    Checked with Python ints on every key, or on the first and last 100
+    and a random sample of `positions_per_block` keys a block."""
+    base = MeetInMiddle3.key_base(mim.n, d)
+    rng = np.random.default_rng(seed)
+    w1, split = len(mim.h1), mim.h1.shape[1]
     for lo in range(0, len(a), mim.max_rows):
         block = a[lo : lo + mim.max_rows]
         keys, perm = mim._sorted_keys(block, order=True)
         assert (np.diff(keys) >= 0).all()
         positions = range(len(keys))
-        if n >= 3:
-            positions = rng.choice(len(keys), 3000, replace=False)
+        if positions_per_block is not None:
+            ends = [*range(100), *range(len(keys) - 100, len(keys))]
+            positions = [*ends, *rng.choice(len(keys), positions_per_block, replace=False)]
         for pos in positions:
             key, col = int(keys[pos]), int(perm[pos])
             row, rest = divmod(key, mim.key_span)
             assert row == pos // mim.width
             value, half = divmod(rest, 2)
             digits = []
-            for _ in _KEY_ENTRIES:
+            for _ in range(d * d - 1):
                 value, digit = divmod(value, base)
                 digits.append(digit - base // 2)
             assert value == 0
-            b = [0] * 9
+            b = [0] * (d * d)
             if col < w1:
                 assert half == 0
-                b[:5] = mim.h1[col].tolist()
+                b[:split] = mim.h1[col].tolist()
                 sign = 1
             else:
                 assert half == 1
-                b[5:] = mim.h2[col - w1].tolist()
+                b[split:] = mim.h2[col - w1].tolist()
                 sign = -1
-            c = _literal_commutator(block[row].tolist(), b)
-            assert digits == [sign * c[i][j] for i, j in _KEY_ENTRIES]
+            c = _literal_commutator(block[row].tolist(), b, d)
+            assert digits == [sign * c[e // d][e % d] for e in range(d * d - 1)]
+
+
+@pytest.mark.parametrize(
+    "d, n",
+    [(3, n) for n in range(5)] + [(2, n) for n in range(5)],
+    ids=[str(n) for n in range(5)] + [f"2x2-{n}" for n in range(5)],
+)
+def test_keys_unpack_to_the_half_commutators(d, n):
+    """check_keys_unpack on random blocks with the zero and a scalar A, on
+    every key at d = 2 and up to n = 2 at d = 3, and on 3200 keys a block
+    at d = 3, n = 3, 4."""
+    mim = MeetInMiddle3(n, d)
+    rng = np.random.default_rng(100 + n)
+    a = rng.integers(-n, n + 1, (5, d * d))
+    a[0] = 0
+    a[1] = n * np.eye(d, dtype=np.int64).ravel()
+    check_keys_unpack(mim, d, a, 3000 if d == 3 and n >= 3 else None, seed=n)
+
+
+def test_2x2_join_at_the_largest_packable_n():
+    """Full enumeration at n = 456 is out of reach, so the join is fed
+    matrices whose centralizers are known: the zero matrix and I commute
+    with every B, E12 and n [[1, -1], [-1, 1]] with the (2n+1)^2 B in the
+    box spanned by I and themselves.  The keys of A with entries +-n, the
+    largest the packing holds, are unpacked with Python ints; n = 457 is
+    refused."""
+    n = 456
+    side = 2 * n + 1
+    mim = MeetInMiddle3(n, d=2)
+    assert mim.max_rows == 1 and mim.key_span <= 2**63
+    a = np.array([[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 0], [n, -n, -n, n]])
+    counts = [int(mim.count_block(row[None])[0]) for row in a]
+    assert counts == [side**4, side**4, side**2, side**2]
+    extreme = np.array([[n, -n, -n, n], [-n, n, n, -n + 1]])
+    check_keys_unpack(mim, 2, extreme, 300)
+    with pytest.raises(ValueError, match="n=457 overflows"):
+        MeetInMiddle3(457, d=2)
 
 
 @pytest.mark.parametrize("n, lo, rows", [(1, 0, 40), (1, 9000, 300), (2, 123456, 600)])
@@ -318,10 +325,25 @@ def test_interrupt_in_a_worker_terminates_the_pool(time_limit):
 def test_meet_in_middle_rejects_overflowing_n():
     with pytest.raises(ValueError):
         MeetInMiddle3(10**9)
-    # 193^8 < 2^63 <= 301^8: n = 4 is the largest box the keys pack.
+    # 2 * 193^8 <= 2^63 < 2 * 301^8: n = 4 is the largest box the keys pack.
     assert MeetInMiddle3.key_base(4) == 193
     with pytest.raises(ValueError, match="n=5 overflows"):
         MeetInMiddle3.key_base(5)
+
+
+@pytest.mark.parametrize("d, n", [(3, 5), (2, 457)])
+def test_key_packing_is_checked_before_the_budget(monkeypatch, d, n):
+    """An n past the key packing is refused in this process, before the
+    budget is charged (the default one would refuse both) and before any
+    worker starts, however large the budget."""
+
+    def no_workers(*args):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(oracle, "_parallel_over_a", no_workers)
+    for budget in (None, WorkBudget(10**40)):
+        with pytest.raises(ValueError, match=f"n={n} overflows"):
+            brute_commuting_count(d, n, budget)
 
 
 def test_a_batch_is_lexicographic():
@@ -436,21 +458,25 @@ def test_residue_dtype_boundaries():
 
 
 @pytest.mark.parametrize("q", [181, 46340, 3037000499])
-@pytest.mark.parametrize("degenerate_only", [False, True])
-def test_residue_kernel_at_the_largest_residues_of_each_dtype(q, degenerate_only):
+@pytest.mark.parametrize("doubly_null", [False, True])
+def test_residue_kernel_at_the_largest_residues_of_each_dtype(q, doubly_null):
     """Full enumeration at these moduli is out of reach, so the kernel is fed
     the extreme residues directly, in the dtype the oracle would pick, and
-    compared with Python-int arithmetic."""
+    compared with Python-int arithmetic: its solutions, and with
+    `doubly_null` the subset _doubly_null keeps."""
     t = tuples_over((0, 1, 2, q - 2, q - 1), 3)
     x = t.astype(_residue_dtype(q))
-    i, j = _residue_pairs(x, x, q, degenerate_only)
+    i, j = _residue_pairs(x, x, q)
+    if doubly_null:
+        keep = _doubly_null(x[:, i], x[:, j], q)
+        i, j = i[keep], j[keep]
     got = set(zip(i.tolist(), j.tolist()))
     cols = t.T.tolist()
     want = set()
     for r, (x2, x3, x4) in enumerate(cols):
         for c, (y2, y3, y4) in enumerate(cols):
             ok = all(e % q == 0 for e in (x2 * y3 - x3 * y2, x2 * y4 - x4 * y2, x3 * y4 - x4 * y3))
-            if degenerate_only:
+            if doubly_null:
                 ok = ok and (x2 * y3) % q == 0 and (x3 * y2) % q == 0
             if ok:
                 want.add((r, c))
