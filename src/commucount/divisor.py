@@ -5,20 +5,23 @@ The central object is r_N(h): over the grid [-N, N]^4, how many quadruples
 satisfy x1*x2 - x3*x4 = h.  That is the autocorrelation of the product
 distribution.  r_table feeds the dense product counts of the grid straight
 to an exact transform: the counts written as decimal digit groups of one
-number, squared exactly by libmpdec against its reversal.  Finite rational
-sets go through _autocorrelation, which picks one of two routes from its
-input: the same transform when the product span is small next to the number
-of distinct products, else one sort of the pairwise product differences.
-The sort keys are the exact differences while the span fits int64, and
-residues mod a prime past it, where pairs that share a residue are compared
-exactly.  No floating point anywhere; every route checks the centre and
-mass identities, and the test suite checks each against a naive double loop.
+number and multiplied exactly by libmpdec against its reversal; the grid's
+counts are symmetric, c(m) = c(-m), so the number is squared.  Finite
+rational sets give their sorted distinct products and counts as arrays
+(int64 while every product stays within 2^62) to _autocorrelation, which
+picks one of two routes from its input: the same transform when the product
+span is small next to the number of distinct products, else one sort of the
+pairwise product differences.  The sort keys are the exact differences
+while the span fits int64, packed with their weight products into one
+sorted int64 array where both fit, and residues mod a prime past it, where
+pairs that share a residue are compared exactly.  No floating point
+anywhere; every route checks the centre and mass identities, and the test
+suite checks each against a naive double loop.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -39,14 +42,17 @@ SetLike = Union["FiniteRealSet", Iterable[Union[int, Fraction]]]
 
 # --- the exact correlation primitive ------------------------------------------
 
-# The dense transform costs about 0.5 us per unit of product span, the
-# sort about 45 ns per pair of distinct products (s^2 / 2 pairs of
-# s values); the transform wins when span < 0.07 s^2 (measured on sets of
-# 10 to 80 elements with spans from 3e3 to 2e6).
+# The dense transform costs about 0.6 us per unit of product span, the
+# packed sort about 35 ns per pair of distinct products (s^2 / 2 pairs of
+# s values) and the argsort about 75 ns; the transform wins when span <
+# 0.07 s^2 against the argsort and span < 0.025 s^2 against the packed sort
+# (measured on sets of 10 to 80 elements with spans from 3e3 to 2e6, 2 vCPU,
+# numpy 2.4.6).  The threshold stays at the argsort's 0.07.
 _DENSE_SPAN_PER_PAIR = 0.07
 # Memory caps: the transform holds about 100 bytes per unit of its width
-# hi - lo (2N^2 for r_table, so N <= 1000), the sort five int64 arrays over
-# its pairs.
+# hi - lo (2N^2 for r_table, so N <= 1000); at its peak the argsort holds
+# six int64 arrays over its pairs, the packed sort three (mostly distinct
+# differences, traced with tracemalloc).
 _MAX_DENSE_SPAN = 2_000_000
 _MAX_SORT_PAIRS = 12_500_000
 # Fingerprint modulus for differences past int64: a prime below 2^61, so
@@ -57,10 +63,14 @@ _FINGERPRINT_PRIME = 2**61 - 31
 
 
 def _autocorrelation(
-    products: dict[int, int], center: int, budget: WorkBudget | None = None
+    values: np.ndarray,
+    weights: np.ndarray,
+    center: int,
+    budget: WorkBudget | None = None,
 ) -> np.ndarray:
-    """Exact autocorrelation r(h) = sum_{m1 - m2 = h} c(m1) c(m2) of distinct
-    values m with counts c(m) > 0.
+    """Exact autocorrelation r(h) = sum_{m1 - m2 = h} c(m1) c(m2) of sorted
+    distinct values m (an int64 array, or an object array of Python ints)
+    with int64 counts c(m) = weights > 0.
 
     Returns r(0) followed by the nonzero r(h), h > 0, in no particular order
     (r(-h) = r(h)), from the route the input favours: the dense transform
@@ -75,9 +85,7 @@ def _autocorrelation(
     for both fixed memory caps, the transform's span and the sort's pairs,
     raise ValueError: no budget lifts those caps."""
     budget = budget or WorkBudget()
-    values = sorted(products)
-    weights = np.array([products[m] for m in values], dtype=np.int64)
-    lo, hi = values[0], values[-1]
+    lo, hi = int(values[0]), int(values[-1])
     span, s = hi - lo + 1, len(values)
     r0 = int(weights @ weights)
     if hi - lo <= _MAX_DENSE_SPAN and (
@@ -85,9 +93,8 @@ def _autocorrelation(
     ):
         digits = len(str(r0))
         budget.require(span * digits, "dense product-correlation digits")
-        offsets = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
         counts = np.zeros(span, dtype=np.int64)
-        counts[offsets] = weights
+        counts[_offsets(values, lo)] = weights
         corr = _dense_correlation(counts, digits)
         got_center, got_mass = int(corr[span - 1]), int(corr.sum())
         corr = corr[span - 1 :]
@@ -110,6 +117,14 @@ def _autocorrelation(
     return corr
 
 
+def _offsets(values, lo: int) -> np.ndarray:
+    """values - lo as int64, for sorted values spanning less than 2^63: an
+    int64 array, or any sequence of Python ints."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values - lo
+    return np.fromiter((m - lo for m in values), dtype=np.int64, count=len(values))
+
+
 def _check_centre_and_mass(r0: int, got_center: int, center: int, got_mass: int, mass: int):
     """Raise InvariantViolation unless r0 = sum c^2, the correlation's centre
     got_center and the expected centre all agree, and its mass got_mass is
@@ -128,9 +143,11 @@ def _dense_correlation(counts: np.ndarray, width: int) -> np.ndarray:
     Writes the counts as width-digit decimal groups of one number, and in
     reverse order as another, multiplies the two with libmpdec (which uses
     a number-theoretic transform on large operands) and reads the product
-    back in groups: group L - 1 + h is sum_i counts[i] * counts[i + h].  The
-    context traps Inexact and Rounded, so a product that would not be exact
-    raises instead."""
+    back in groups: group L - 1 + h is sum_i counts[i] * counts[i + h].
+    Symmetric counts, counts == counts[::-1] as in every r_table, make the
+    two numbers equal, so the one number is squared: libmpdec then
+    transforms a single operand.  The context traps Inexact and Rounded,
+    so a product that would not be exact raises instead."""
     import decimal  # here, not at the top: most CLI commands never load it
 
     L = len(counts)
@@ -140,7 +157,10 @@ def _dense_correlation(counts: np.ndarray, width: int) -> np.ndarray:
         rest, digits[:, k] = np.divmod(rest, 10)
     digits += ord("0")
     forward = decimal.Decimal(digits.tobytes().decode("ascii"))
-    backward = decimal.Decimal(digits[::-1].tobytes().decode("ascii"))
+    if np.array_equal(counts, counts[::-1]):
+        backward = forward
+    else:
+        backward = decimal.Decimal(digits[::-1].tobytes().decode("ascii"))
     context = decimal.Context(
         prec=decimal.MAX_PREC,
         Emax=decimal.MAX_EMAX,
@@ -181,30 +201,50 @@ def _pair_differences(values: np.ndarray, weights: np.ndarray):
     return diffs, prods
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a sorted array starts."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
 def _group_sums(keys: np.ndarray, prods: np.ndarray):
     """Sort the keys and sum the weights of equal keys: (order, run starts,
     run sums)."""
     order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    del keys
+    starts = _run_starts(keys[order])
     return order, starts, np.add.reduceat(prods[order], starts)
 
 
-def _fingerprint_pair_sums(values: list[int], weights: np.ndarray) -> np.ndarray:
-    """r(h) for h > 0 from sorted distinct values of any size.
+def _fingerprint_pair_sums(values, weights: np.ndarray) -> np.ndarray:
+    """r(h) for h > 0 from sorted distinct values of any size: an int64
+    array, or any sequence of Python ints.
 
     Pairs are grouped on their difference, one sort over the keys m - lo.
     When hi - lo is below 2^63, every key and every key difference is exact
-    in int64, so no two h can share a group.  Otherwise the keys are
-    (m - lo) mod _FINGERPRINT_PRIME, and the exact differences are compared
-    inside every group of two or more pairs; if any group holds two, all
-    such pairs are grouped again on their exact differences, so a collision
-    mod the prime cannot merge two h."""
-    s, lo = len(values), values[0]
-    if values[-1] - lo < 2**63:
-        keys = np.fromiter((m - lo for m in values), dtype=np.int64, count=s)
-        return _group_sums(*_pair_differences(keys, weights))[2]
+    in int64, so no two h can share a group.  If, besides, (hi - lo + 1)
+    shifted left by the bit length b of the largest weight product stays
+    below 2^63, each difference and its weight product are packed into one
+    int64, difference << b | product, and that array is sorted in place:
+    runs of equal high bits are the groups and their low bits the sums.
+    Otherwise the differences are argsorted and the products gathered
+    (_group_sums).  Past 2^63 the keys are (m - lo) mod _FINGERPRINT_PRIME,
+    and the exact differences are compared inside every group of two or
+    more pairs; if any group holds two, all such pairs are grouped again on
+    their exact differences, so a collision mod the prime cannot merge two
+    h."""
+    s, lo, hi = len(values), int(values[0]), int(values[-1])
+    if hi - lo < 2**63:
+        diffs, prods = _pair_differences(_offsets(values, lo), weights)
+        top = np.sort(weights)[-2:]
+        b = int(top[0] * top[1]).bit_length()
+        if (hi - lo + 1) << b >= 2**63:
+            return _group_sums(diffs, prods)[2]
+        diffs <<= b
+        diffs |= prods
+        del prods
+        diffs.sort()
+        starts = _run_starts(diffs >> b)
+        diffs &= (1 << b) - 1
+        return np.add.reduceat(diffs, starts)
     residues = np.array([(m - lo) % _FINGERPRINT_PRIME for m in values], dtype=np.int64)
     keys, prods = _pair_differences(residues, weights)
     keys %= _FINGERPRINT_PRIME
@@ -485,12 +525,20 @@ def _scaled_integers(aset: FiniteRealSet) -> tuple[list[int], int]:
     return [int(v * scale) for v in aset.elements], scale
 
 
-def _product_counts(ints: list[int]) -> Counter:
-    counts: Counter = Counter()
-    for a in ints:
-        for b in ints:
-            counts[a * b] += 1
-    return counts
+def _product_counts(ints: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct products a*b over ordered pairs from ints, and
+    how many pairs give each, as int64 counts: one outer product, one sort,
+    and the counts read at the run boundaries.
+
+    While max|a|^2 < 2^62 the products, and any difference of two of them,
+    fit int64 and the arrays are int64; past that they hold Python ints
+    (dtype object)."""
+    wide = max(abs(a) for a in ints) ** 2 >= 2**62
+    arr = np.array(ints, dtype=object if wide else np.int64)
+    products = np.multiply.outer(arr, arr).ravel()
+    products.sort()
+    starts = _run_starts(products)
+    return products[starts], np.diff(np.append(starts, len(products)))
 
 
 def r_set(aset: SetLike, target: Union[int, Fraction]) -> int:
@@ -504,7 +552,8 @@ def r_set(aset: SetLike, target: Union[int, Fraction]) -> int:
     if t.denominator != 1:
         return 0
     t = int(t)
-    counts = _product_counts(ints)
+    values, counts = _product_counts(ints)
+    counts = dict(zip(values.tolist(), counts.tolist()))
     return sum(c * counts.get(m - t, 0) for m, c in counts.items())
 
 
@@ -530,14 +579,15 @@ def lemma61_check(aset: SetLike, budget: WorkBudget | None = None) -> dict[str, 
 
     sup_r is taken over every h with r_A(h) > 0.  (Whether the center
     dominates, sup_r == r0, is deliberately *not* enforced here — that is
-    the property the callers test.)  The correlation comes from
+    the property the callers test.)  The sorted distinct products and their
+    counts come as arrays from _product_counts, and the correlation from
     _autocorrelation, which picks its route from the products' span and
     count; a set past the memory caps of every route raises ValueError."""
     aset = FiniteRealSet.from_values(aset)
     if len(aset) > 500:
         raise ValueError("lemma61_check supports sets of at most 500 elements")
     ints, _ = _scaled_integers(aset)
-    counts = _product_counts(ints)
-    r0 = sum(c * c for c in counts.values())
-    corr = _autocorrelation(counts, r0, budget)
+    values, counts = _product_counts(ints)
+    r0 = int(counts @ counts)
+    corr = _autocorrelation(values, counts, r0, budget)
     return {"sup_r": int(corr.max()), "r0": r0, "i3": 2 * _power_sum(corr, 3) - r0**3}

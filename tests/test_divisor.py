@@ -4,6 +4,7 @@ correlation primitive against a naive double loop, and the classical
 divisor-sum diagnostics.
 """
 
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -49,6 +50,15 @@ def test_dense_transform_matches_naive_convolution(counts):
             int(arr[i]) * int(arr[i - h]) for i in range(L) if 0 <= i - h < L
         )
         assert int(corr[L - 1 + h]) == direct
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60), st.booleans())
+def test_dense_transform_squares_symmetric_counts(half, odd):
+    # Mirrored counts take the squaring branch: one operand, passed twice.
+    counts = half + half[-2::-1] if odd else half + half[::-1]
+    assert counts == counts[::-1]
+    test_dense_transform_matches_naive_convolution.hypothesis.inner_test(counts)
 
 
 def test_dense_transform_traps_a_narrow_width():
@@ -145,6 +155,29 @@ def test_r_table_past_the_transform_cap_raises_value_error(monkeypatch):
         with pytest.raises(ValueError, match="memory cap") as exc:
             r_table(1001, budget)
         assert not isinstance(exc.value, BudgetExceeded)
+
+
+def _table_digest(ns):
+    digest = hashlib.sha256()
+    for n in ns:
+        digest.update(r_table(n).r.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "ns, want",
+    [
+        (range(1, 61), "dc62a1854223fa5a1e372164bd03885b48b3cc43078661c9a0dfaacca0da043f"),
+        ([175], "add26cabb195dbae03ada8660cff7448d52a64bf50059b89f3f602dbcec197c2"),
+        ([1000], "90e410f398f3dcb494bf7ace0a0a2c9863c0f225095dfa81b20960658e16e977"),
+    ],
+    ids=["1-60", "175", "1000"],
+)
+def test_r_table_pinned_digests(ns, want):
+    # SHA-256 of the little-endian int64 tables, recorded from the transform
+    # of the counts against their reversal, before symmetric counts were
+    # squared.
+    assert _table_digest(ns) == want
 
 
 def test_table_n_mismatch_rejected():
@@ -548,3 +581,99 @@ def test_geometric_progressions_peak_at_zero():
         aset = [ratio**k for k in range(40)]
         res = lemma61_check(aset)
         assert res["sup_r"] == res["r0"]
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64"])
+@pytest.mark.parametrize(
+    "width, packed",
+    [
+        # weights 3, 5, 7: the largest product 35 takes b = 6 bits, so the
+        # packed keys fit int64 while (width + 1) << 6 < 2^63
+        (2**57 - 2, True),
+        (2**57 - 1, False),
+    ],
+    ids=["span<<b-below-2^63", "span<<b-at-2^63"],
+)
+def test_packed_sort_at_the_int64_boundary(monkeypatch, as_array, width, packed):
+    values = [0, 1, width]
+    weights = np.array([3, 5, 7], dtype=np.int64)
+    assert ((width + 1) << 6 < 2**63) == packed
+    calls = []
+    inner = divisor._group_sums
+
+    def spy(keys, prods):
+        calls.append(len(keys))
+        return inner(keys, prods)
+
+    monkeypatch.setattr(divisor, "_group_sums", spy)
+    got = divisor._fingerprint_pair_sums(
+        np.array(values, dtype=np.int64) if as_array else values, weights
+    )
+    want = naive_pair_sums(values, weights.tolist())
+    assert sorted(got.tolist()) == sorted(want.values())
+    assert calls == ([] if packed else [3])
+
+
+def test_packed_sums_wider_than_their_bits():
+    # 49 pairs share each of the small differences, so a group's sum of
+    # weight products runs far past the b bits one product is packed in.
+    rng = np.random.default_rng(11)
+    values = (np.arange(50, dtype=np.int64) * 2**30).tolist()
+    weights = rng.integers(1, 1000, size=50).astype(np.int64)
+    got = divisor._fingerprint_pair_sums(values, weights)
+    want = naive_pair_sums(values, weights.tolist())
+    assert sorted(got.tolist()) == sorted(want.values())
+    assert max(want.values()) >= 2 ** int(weights.max() ** 2).bit_length()
+
+
+def naive_r_set(ints, t):
+    """r_A(t) by a loop over every quadruple."""
+    return sum(1 for a in ints for b in ints for c in ints for d in ints if a * b - c * d == t)
+
+
+# max|a| = 2^31 - 1 keeps every product within +-2^62 (int64 arrays); 2^31
+# reaches 2^62 (Python ints).
+INT64_EDGE_SETS = [
+    pytest.param([-(2**31 - 1), -5, 0, 3, 2**31 - 1], id="max-2^31-1"),
+    pytest.param([-(2**31 - 1), 2, 7, 2**31 - 2], id="max-2^31-1-asym"),
+    pytest.param([-(2**31), -5, 0, 3, 2**31 - 1], id="min--2^31"),
+    pytest.param([-3, 1, 4, 2**31], id="max-2^31"),
+]
+
+
+@pytest.mark.parametrize("vals", INT64_EDGE_SETS)
+def test_product_counts_on_either_side_of_int64(vals):
+    values, counts = divisor._product_counts(vals)
+    fits = max(abs(v) for v in vals) < 2**31
+    assert values.dtype == (np.int64 if fits else object)
+    want = Counter(a * b for a in vals for b in vals)
+    assert [int(v) for v in values] == sorted(want)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [want[m] for m in sorted(want)]
+
+
+@pytest.mark.parametrize("vals", INT64_EDGE_SETS)
+def test_lemma61_and_r_set_on_either_side_of_int64(vals):
+    assert lemma61_check(vals) == naive_correlation_stats(vals)
+    products = sorted({a * b for a in vals for b in vals})
+    width = products[-1] - products[0]
+    targets = {0, 1, -1, width, -width, width + 1, -width - 1, 2**64, -(2**64)}
+    targets |= {m1 - m2 for m1 in products[:3] + products[-3:] for m2 in products}
+    for t in sorted(targets):
+        assert r_set(vals, t) == naive_r_set(vals, t), t
+
+
+def test_r_set_matches_the_quadruple_loop():
+    rng = np.random.default_rng(8)
+    for size, bound in ((6, 10), (9, 1000), (8, 10**12)):
+        vals = _seeded_set(int(rng.integers(1000)), size, bound)
+        products = {a * b for a in vals for b in vals}
+        for t in {m1 - m2 for m1 in products for m2 in list(products)[:5]} | {7, -7}:
+            assert r_set(vals, t) == naive_r_set(vals, t)
+    scaled = [Fraction(1, 3), Fraction(1, 2), 2, 5]
+    for t in (0, Fraction(1, 6), Fraction(-35, 36), Fraction(1, 7), 24):
+        want = sum(
+            1 for a in scaled for b in scaled for c in scaled for d in scaled
+            if a * b - c * d == t
+        )
+        assert r_set(scaled, t) == want
