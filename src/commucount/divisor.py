@@ -44,11 +44,13 @@ SetLike = Union["FiniteRealSet", Iterable[Union[int, Fraction]]]
 
 # The dense transform costs about 0.6 us per unit of product span, the
 # packed sort about 35 ns per pair of distinct products (s^2 / 2 pairs of
-# s values) and the argsort about 75 ns; the transform wins when span <
-# 0.07 s^2 against the argsort and span < 0.025 s^2 against the packed sort
-# (measured on sets of 10 to 80 elements with spans from 3e3 to 2e6, 2 vCPU,
-# numpy 2.4.6).  The threshold stays at the argsort's 0.07.
-_DENSE_SPAN_PER_PAIR = 0.07
+# s values).  Every input the transform may take also packs (a span of at
+# most _MAX_DENSE_SPAN < 2^21, and weights below 2|A| <= 1000 give products
+# of at most 20 bits), so the packed sort is its only rival: the transform
+# wins when span < about 0.025 s^2 (14 sets of 20 to 80 elements, spans 7e3
+# to 1e6, 2 vCPU, numpy 2.4.6: 2.5-3.4x faster at 0.014 s^2, 2.2x slower
+# at 0.067 s^2).
+_DENSE_SPAN_PER_PAIR = 0.025
 # Memory caps: the transform holds about 100 bytes per unit of its width
 # hi - lo (2N^2 for r_table, so N <= 1000); at its peak the argsort holds
 # six int64 arrays over its pairs, the packed sort three (mostly distinct

@@ -8,7 +8,7 @@ exit codes) can tell an over-budget request apart from a malformed one.
 class BudgetExceeded(RuntimeError):
     """An enumeration would visit more states than the work budget allows."""
 
-    def __init__(self, states: int, max_states: int, what: str = "enumeration"):
+    def __init__(self, states: int, max_states: int, what: str):
         self.states = states
         self.max_states = max_states
         super().__init__(

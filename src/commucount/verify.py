@@ -1,13 +1,14 @@
 """The verification criteria behind `commucount verify` and the acceptance
-test suite: each function checks one independently-stated property at a
-parameterized scale and reports what it saw.
+test suite: each function checks one independently-stated property at its
+stated scale and reports what it saw.
 
-Two suites share these functions.  `quick` keeps every enumeration under
-10^8 visited states (about a minute of work); `full` raises the gate to
-10^10, which adds the heavier brute-force comparisons (p-adic moduli up to
-10^9 states, the 3x3 classification at N = 2) and the large-X floating
-diagnostics.  Functions never weaken a bound to pass — when a check fails,
-the result says so and carries the numbers.
+Two suites share these functions; only the budget and the scales they set
+apart are parameters.  `quick` keeps every enumeration under 10^8 visited
+states (about 4 s of work on 2 vCPU); `full` raises the gate to 10^10, which
+adds the heavier brute-force comparisons (p-adic moduli up to 10^9 states,
+the 3x3 classification at N = 2, the full-size geometric progression) and
+the large-X floating diagnostics.  Functions never weaken a bound to pass —
+when a check fails, the result says so and carries the numbers.
 """
 
 from __future__ import annotations
@@ -60,26 +61,25 @@ class CriterionResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.key}: {self.name}"
 
 
-def criterion_oracle_2x2(max_n: int = 6, budget: WorkBudget | None = None) -> CriterionResult:
-    """The closed-form 2x2 counter equals exhaustive enumeration."""
+def criterion_oracle_2x2(budget: WorkBudget | None = None) -> CriterionResult:
+    """The closed-form 2x2 counter equals exhaustive enumeration for N <= 6."""
     budget = budget or WorkBudget()
     counts = {}
     ok = True
-    for n in range(max_n + 1):
+    for n in range(7):
         fast = count_commuting_2x2(n)
         counts[str(n)] = fast
         ok = ok and fast == brute_commuting_count(2, n, budget)
-    return CriterionResult(
-        "1", f"2x2 count equals oracle for N <= {max_n}", ok, {"counts": counts}
-    )
+    return CriterionResult("1", "2x2 count equals oracle for N <= 6", ok, {"counts": counts})
 
 
-def criterion_main_term(ns: tuple[int, ...] = (100, 1000, 10000)) -> CriterionResult:
-    """Normalized counts approach 10*zeta(2)/(3*zeta(3)), monotonically at
-    these scales and within 0.01 at the largest."""
+def criterion_main_term() -> CriterionResult:
+    """Normalized counts approach 10*zeta(2)/(3*zeta(3)), monotonically over
+    N = 10^2, 10^3, 10^4 and within 0.01 at the largest."""
     from .core import main_term_constant_2x2
 
     const = main_term_constant_2x2()
+    ns = (100, 1000, 10000)
     devs = [float(abs(normalized_count_2x2(n) - const)) for n in ns]
     decreasing = all(a > b for a, b in zip(devs, devs[1:]))
     ok = decreasing and devs[-1] <= 0.01
@@ -91,11 +91,10 @@ def criterion_main_term(ns: tuple[int, ...] = (100, 1000, 10000)) -> CriterionRe
     )
 
 
-def criterion_split(
-    check_ns: tuple[int, ...] = (0, 1, 2, 3, 5, 10, 100, 1000), anchor: int = 1000
-) -> CriterionResult:
+def criterion_split() -> CriterionResult:
     """The degenerate/nondegenerate split is an exact partition, and the
-    degenerate side alone already carries weight 2 per (2N)^5."""
+    degenerate side alone already carries weight 2 per (2N)^5 at N = 1000."""
+    check_ns, anchor = (0, 1, 2, 3, 5, 10, 100, 1000), 1000
     exact = all(sum(gamma_split(n)) == count_commuting_2x2(n) for n in check_ns)
     ratio = gamma_split(anchor).degenerate / (2 * anchor) ** 5
     ok = exact and abs(ratio - 2) <= 0.05
@@ -107,19 +106,16 @@ def criterion_split(
     )
 
 
-def criterion_r_table(
-    oracle_max_n: int = 6,
-    extra_ns: tuple[int, ...] = (50,),
-    big_n: int = 2000,
-    budget: WorkBudget | None = None,
-) -> CriterionResult:
-    """Autocorrelation table: oracle-exact entries, mass and symmetry
-    identities, and the N^2 log N size of the central value."""
+def criterion_r_table(budget: WorkBudget | None = None) -> CriterionResult:
+    """Autocorrelation table: oracle-exact entries for N <= 6, mass and
+    symmetry identities there and at N = 50, and the N^2 log N size of the
+    central value at N = 2000."""
     budget = budget or WorkBudget()
+    big_n = 2000
     ok = True
-    for n in range(1, oracle_max_n + 1):
+    for n in range(1, 7):
         ok = ok and dict(r_table(n, budget).items()) == brute_r_table(n, budget)
-    for n in list(range(1, oracle_max_n + 1)) + list(extra_ns):
+    for n in (*range(1, 7), 50):
         table = r_table(n, budget)
         ok = ok and table.total() == (2 * n + 1) ** 4
         ok = ok and all(table.value(-h) == v for h, v in table.items())
@@ -128,7 +124,7 @@ def criterion_r_table(
     ok = ok and gap <= 20
     return CriterionResult(
         "4",
-        f"r-table oracle-exact to N={oracle_max_n}; r(0) size law at N={big_n}",
+        f"r-table oracle-exact to N=6; r(0) size law at N={big_n}",
         ok,
         {"central_gap_per_n2": gap, "allowed": 20},
     )
@@ -189,16 +185,17 @@ def criterion_padic_exact(
     )
 
 
-def criterion_density_main(max_p: int = 31, max_n: int = 8) -> CriterionResult:
-    """Exact densities stay within 4*n^2*p^{-n/2} of the main term, and the
-    limit constants at p = 2, 3 are exactly 7/4 and 13/9."""
+def criterion_density_main() -> CriterionResult:
+    """Exact densities stay within 4*n^2*p^{-n/2} of the main term for
+    p <= 31 and n <= 8, and the limit constants at p = 2, 3 are exactly 7/4
+    and 13/9."""
     ok = sigma_p(2) == Fraction(7, 4) and sigma_p(3) == Fraction(13, 9)
     checked = 0
     worst = 0.0
-    for p in range(2, max_p + 1):
+    for p in range(2, 32):
         if not is_prime(p):
             continue
-        for n in range(1, max_n + 1):
+        for n in range(1, 9):
             dev = density_deviation(PadicParams(p, n))
             # dev <= 4 n^2 p^{-n/2}  <=>  dev^2 p^n <= 16 n^4, exactly.
             ok = ok and dev * dev * p**n <= 16 * n**4
@@ -212,13 +209,12 @@ def criterion_density_main(max_p: int = 31, max_n: int = 8) -> CriterionResult:
     )
 
 
-def criterion_lifting(
-    cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2)),
-    budget: WorkBudget | None = None,
-) -> CriterionResult:
+def criterion_lifting(budget: WorkBudget | None = None) -> CriterionResult:
     """Brute valuation classes scale as p^{6h} times the level-(n-2h)
-    class-0 count for h < n/2, with the deep residual mass p^{6*floor(n/2)}."""
+    class-0 count for h < n/2, with the deep residual mass p^{6*floor(n/2)},
+    at (p, n) = (2, 2), (2, 3), (3, 2)."""
     budget = budget or WorkBudget()
+    cases = ((2, 2), (2, 3), (3, 2))
     ok = True
     for p, n in cases:
         brute = brute_valuation_classes(p, n, budget)
@@ -266,20 +262,18 @@ def criterion_classification(
 
 
 def criterion_lower_bounds(
-    max_e_n: int = 100,
-    cert2_max_n: int = 4,
-    budget: WorkBudget | None = None,
-    threads: int | None = None,
+    budget: WorkBudget | None = None, threads: int | None = None
 ) -> CriterionResult:
-    """E_d(N) dominates 2/(d+1)*(2N)^{d+1} exactly, and the constructive
-    certificates stay below the true counts."""
+    """E_d(N) dominates 2/(d+1)*(2N)^{d+1} exactly for N <= 100, and the
+    constructive certificates stay below the true counts (2x2 for N <= 4,
+    3x3 at N = 1)."""
     budget = budget or WorkBudget()
     ok = all(
         lower_bound_E(d, n) * (d + 1) >= 2 * (2 * n) ** (d + 1)
         for d in (2, 3)
-        for n in range(1, max_e_n + 1)
+        for n in range(1, 101)
     )
-    for n in range(cert2_max_n + 1):
+    for n in range(5):
         ok = ok and lower_bound_certificate(2, n) <= count_commuting_2x2(n)
     cert3 = lower_bound_certificate(3, 1)
     c3 = brute_commuting_count(3, 1, budget, threads)
@@ -292,15 +286,15 @@ def criterion_lower_bounds(
     )
 
 
-def _random_test_sets(rng: np.random.Generator, count: int, max_size: int):
-    """Random integer sets spread across both exact-correlation routes:
-    mostly values in [-150, 150] (a narrow product span: the dense
-    transform from about 45 elements up, the sort below), a few mid-sized
+def _random_test_sets(rng: np.random.Generator):
+    """50 random integer sets spread across both exact-correlation routes:
+    mostly up to 100 values in [-150, 150] (a narrow product span: the dense
+    transform from about 55 elements up, the sort below), a few mid-sized
     sets in [-10^6, 10^6] and tiny ones in [-10^9, 10^9] (wide spans: the
     sort, on exact differences).  The criterion's arithmetic progressions
     take the dense transform, its geometric ones the sort on residues mod
     the fingerprint prime."""
-    for i in range(count):
+    for i in range(50):
         if i % 10 == 8:
             size = int(rng.integers(40, 71))
             pool = 2_000_001, 1_000_000  # values in [-1e6, 1e6]
@@ -308,32 +302,26 @@ def _random_test_sets(rng: np.random.Generator, count: int, max_size: int):
             size = int(rng.integers(2, 25))
             pool = 2_000_000_001, 1_000_000_000
         else:
-            size = int(rng.integers(1, max_size + 1))
+            size = int(rng.integers(1, 101))
             pool = 301, 150  # values in [-150, 150]
         vals = rng.choice(pool[0], size=size, replace=False) - pool[1]
         yield [int(v) for v in vals]
 
 
 def criterion_sup_autocorrelation(
-    n_random: int = 50,
-    max_size: int = 100,
-    prog_size: int = 500,
-    gp_size: int | None = None,
-    seed: int = _SEED,
-    budget: WorkBudget | None = None,
+    gp_size: int = 500, budget: WorkBudget | None = None
 ) -> CriterionResult:
     """The product autocorrelation of a finite set peaks at zero: checked on
-    random sets and on long arithmetic/geometric progressions.
+    50 random sets and on arithmetic progressions of size 500 and geometric
+    ones of size `gp_size`.
 
     A length-L doubling progression has ~L^2 distinct pairwise product
-    differences, all huge integers, so `gp_size` caps the geometric cases
-    separately (the quick suite trims it; the full suite runs the stated
-    size)."""
+    differences, all huge integers, so the quick suite trims the geometric
+    cases to 200; the full suite runs the stated 500."""
     budget = budget or WorkBudget()
-    if gp_size is None:
-        gp_size = prog_size
-    rng = np.random.default_rng(seed)
-    sets = list(_random_test_sets(rng, n_random, max_size))
+    prog_size = 500
+    sets = list(_random_test_sets(np.random.default_rng(_SEED)))
+    n_random = len(sets)
     sets.append(list(range(1, prog_size + 1)))
     sets.append(list(range(-prog_size // 2, prog_size // 2)))
     sets.append([2**k for k in range(gp_size)])
@@ -355,10 +343,11 @@ def criterion_sup_autocorrelation(
     )
 
 
-def criterion_demo_4x4(samples: int = 100, seed: int = _SEED) -> CriterionResult:
+def criterion_demo_4x4() -> CriterionResult:
     """The fixed 4x4 pair keeps its vanishing commutator diagonal and its
-    infeasible linear system for every sampled diagonal assignment."""
-    rng = np.random.default_rng(seed)
+    infeasible linear system for each of 100 sampled diagonal assignments."""
+    samples = 100
+    rng = np.random.default_rng(_SEED)
     ok = True
     for _ in range(samples):
         rep = inconsistency_demo_4x4(*(int(v) for v in rng.integers(-3, 4, 8)))
@@ -425,7 +414,7 @@ def run_suite(suite: str, threads: int | None = None) -> Iterator[CriterionResul
     yield criterion_lifting(budget=budget)
     yield criterion_classification(ns=(1, 2) if full else (1,), budget=budget, threads=threads)
     yield criterion_lower_bounds(budget=budget, threads=threads)
-    yield criterion_sup_autocorrelation(gp_size=None if full else 200, budget=budget)
+    yield criterion_sup_autocorrelation(gp_size=500 if full else 200, budget=budget)
     yield criterion_demo_4x4()
     if full:
         yield extra_padic_deep(budget=budget)

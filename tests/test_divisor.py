@@ -419,8 +419,14 @@ def _seeded_set(seed, size, bound):
     "route, vals",
     [
         # narrow span, many distinct products
-        pytest.param("_dense_correlation", _seeded_set(1, 30, 40), id="dense-30-in-40"),
+        pytest.param("_dense_correlation", _seeded_set(8, 30, 40), id="dense-30-in-40"),
         pytest.param("_dense_correlation", list(range(1, 25)), id="dense-1-to-24"),
+        # span / s^2 = 0.0246, 0.0252 and 0.0644: either side of
+        # _DENSE_SPAN_PER_PAIR = 0.025, and inside the band (0.025, 0.07]
+        # the transform took while its rival was the argsort
+        pytest.param("_dense_correlation", _seeded_set(7, 20, 15), id="dense-span-0.0246s2"),
+        pytest.param("_fingerprint_pair_sums", _seeded_set(1, 30, 40), id="sort-span-0.0252s2"),
+        pytest.param("_fingerprint_pair_sums", _seeded_set(6, 14, 20), id="sort-span-0.0644s2"),
         # wide span, every product within int64: the sort on exact
         # differences (the 12 values in 2e9 have products spanning 8e18)
         pytest.param("_fingerprint_pair_sums", [-7, -2, 1, 3, 4, 9, 12], id="int64-7-small"),
@@ -585,19 +591,24 @@ def test_geometric_progressions_peak_at_zero():
 
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64"])
 @pytest.mark.parametrize(
-    "width, packed",
+    "width, weights, packed",
     [
         # weights 3, 5, 7: the largest product 35 takes b = 6 bits, so the
         # packed keys fit int64 while (width + 1) << 6 < 2^63
-        (2**57 - 2, True),
-        (2**57 - 1, False),
+        (2**57 - 2, [3, 5, 7], True),
+        (2**57 - 1, [3, 5, 7], False),
+        # the widest span the dense transform takes, with weights at the
+        # 2 * 500 - 1 = 999 that c(0) reaches in a 500-element set holding
+        # 0: every input the transform may take also packs
+        (divisor._MAX_DENSE_SPAN, [999, 999, 999], True),
     ],
-    ids=["span<<b-below-2^63", "span<<b-at-2^63"],
+    ids=["span<<b-below-2^63", "span<<b-at-2^63", "widest-dense-span"],
 )
-def test_packed_sort_at_the_int64_boundary(monkeypatch, as_array, width, packed):
+def test_packed_sort_at_the_int64_boundary(monkeypatch, as_array, width, weights, packed):
     values = [0, 1, width]
-    weights = np.array([3, 5, 7], dtype=np.int64)
-    assert ((width + 1) << 6 < 2**63) == packed
+    b = (weights[-1] * weights[-2]).bit_length()
+    assert ((width + 1) << b < 2**63) == packed
+    weights = np.array(weights, dtype=np.int64)
     calls = []
     inner = divisor._group_sums
 

@@ -84,7 +84,7 @@ def test_run_suite_wiring(monkeypatch, suite):
         ("criterion_lifting", b, {}),
         ("criterion_classification", b, {"ns": (1, 2) if full else (1,), "threads": 3}),
         ("criterion_lower_bounds", b, {"threads": 3}),
-        ("criterion_sup_autocorrelation", b, {"gp_size": None if full else 200}),
+        ("criterion_sup_autocorrelation", b, {"gp_size": 500 if full else 200}),
         ("criterion_demo_4x4", None, {}),
     ]
     if full:
@@ -95,7 +95,7 @@ def test_run_suite_wiring(monkeypatch, suite):
 
 def test_random_test_sets_cover_all_three_value_scales():
     rng = np.random.default_rng(1)
-    sets = list(_random_test_sets(rng, 50, 100))
+    sets = list(_random_test_sets(rng))
     assert len(sets) == 50
     biggest = [max(abs(v) for v in s) for s in sets]
     assert any(b <= 150 for b in biggest)
