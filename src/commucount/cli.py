@@ -18,19 +18,15 @@ input), 130 interrupted (Ctrl-C; worker processes are terminated).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .count2 import count_commuting_2x2, gamma_split, normalized_count_2x2
-from .core import main_term_constant_2x2, dependent_pair_constant
+from .core import dependent_pair_constant, main_term_constant_2x2, np
 from .divisor import (
     classic_divisor_correlation,
     divisor_bound_check,
@@ -353,13 +349,17 @@ def _json_safe(obj):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
+    # The plain types first, by exact type (np.float64 subclasses float), so
+    # a result without numpy values does not load numpy.
+    if type(obj) in (bool, int, float, str) or obj is None:
+        return obj
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, Fraction):
         return _fraction_str(obj)
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+    if isinstance(obj, (bool, int, float, str)):
         return obj
     return str(obj)
 
@@ -369,6 +369,8 @@ def _render(results: list[dict], fmt: str) -> None:
         for res in results:
             print(json.dumps(res, sort_keys=True))
         return
+    import csv
+
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["command", "param_string", "value", "diagnostic_name", "diagnostic_value", "runtime_ms"]
@@ -422,6 +424,8 @@ def cache_lookup(command: str, params: dict) -> dict | None:
 def cache_store(command: str, params: dict, result: dict) -> None:
     """Write the entry to a temporary file and rename it over the old one, so
     a concurrent reader sees the old entry or the new one, never a mix."""
+    import tempfile
+
     key = _cache_key(command, params)
     path = _cache_path(key)
     os.makedirs(os.path.dirname(path), exist_ok=True)

@@ -11,14 +11,35 @@ used by the acceptance checks.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy as a module that runs its import on its first attribute
+    access, so a command that never touches it (a cache hit, --help, the
+    pure-integer closed forms) starts without paying for it.  The package's
+    other modules take `np` from here: a plain `import numpy` of a module
+    already in sys.modules reads its __spec__, and that runs the import."""
+    spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
+    if spec is None:  # numpy already imported, or missing: import it plainly
+        import numpy
+
+        return numpy
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly

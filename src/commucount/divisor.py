@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
 
-import numpy as np
-
 from .core import (
+    np,
     pairwise_fraction_sum,
     power_sum_work,
     product_distribution,
@@ -189,18 +188,42 @@ def _dense_correlation(counts: np.ndarray, width: int) -> np.ndarray:
 
 
 def _pair_differences(values: np.ndarray, weights: np.ndarray):
-    """values[j] - values[i] and weights[i] * weights[j] for every i < j,
-    row by row, so no s x s temporary is made."""
+    """values[j] - values[i] and weights[i] * weights[j] for every i < j of
+    two int64 arrays of length s >= 2, as flat arrays in the order of
+    _pair_rows_cols.
+
+    Row i of the pairs (j = i+1..s-1) is folded together with row
+    2s - 2 - width - i, reversed, into one row of `width` = s (s odd) or
+    s - 1 (s even) entries, so the pairs fill a height x width rectangle.
+    Across a folded row the j run along values followed by the reversed
+    values, one sliding window per row, so each array takes two broadcast
+    operations and no Python loop.  The one temporary as large as the pairs
+    is the mask of the folded-in part, one byte a pair."""
     s = len(values)
-    diffs = np.empty(s * (s - 1) // 2, dtype=values.dtype)
-    prods = np.empty(len(diffs), dtype=np.int64)
-    pos = 0
-    for i in range(s - 1):
-        end = pos + s - 1 - i
-        np.subtract(values[i + 1 :], values[i], out=diffs[pos:end])
-        np.multiply(weights[i + 1 :], weights[i], out=prods[pos:end])
-        pos = end
-    return diffs, prods
+    width = s if s % 2 else s - 1
+    height = s * (s - 1) // 2 // width
+    k = np.arange(height)
+    folded = np.arange(width) >= s - 1 - k[:, None]
+    other = 2 * s - 2 - width - k
+    out = []
+    for x, op in ((values, np.subtract), (weights, np.multiply)):
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x[::-1])), width)
+        windows = windows[1 : height + 1]
+        res = np.empty((height, width), dtype=np.int64)
+        op(windows, x[:height, None], out=res)
+        op(windows, x[other, None], out=res, where=folded)
+        out.append(res.ravel())
+    return out[0], out[1]
+
+
+def _pair_rows_cols(pairs: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j), i < j, of the pairs at the given positions of
+    _pair_differences(values, weights) for s values."""
+    width = s if s % 2 else s - 1
+    k, c = np.divmod(pairs, width)
+    first = c < s - 1 - k
+    rows = np.where(first, k, 2 * s - 2 - width - k)
+    return rows, np.where(first, k + 1 + c, 2 * s - 2 - k - c)
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -257,9 +280,7 @@ def _fingerprint_pair_sums(values, weights: np.ndarray) -> np.ndarray:
     if not shared.any():
         return sums
     pairs = order[shared]
-    # Pair p is (i, j), i < j, where row i starts at p = i(2s - i - 1)/2.
-    rows = np.repeat(np.arange(s - 1), np.arange(s - 1, 0, -1))[pairs]
-    cols = pairs - rows * (2 * s - rows - 1) // 2 + rows + 1
+    rows, cols = _pair_rows_cols(pairs, s)
     exact = np.array(values, dtype=object)
     differences = exact[cols] - exact[rows]
     counts = sizes[sizes > 1]

@@ -28,11 +28,8 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass
-from multiprocessing import get_context
 
-import numpy as np
-
-from .core import is_prime
+from .core import is_prime, np
 from .errors import BudgetExceeded, NotPrime, UnsupportedDimension
 
 DEFAULT_MAX_STATES = 10**10
@@ -289,6 +286,10 @@ def _parallel_over_a(fn, n: int, threads: int | None):
     workers = min(resolve_threads(threads), n_a)
     if workers <= 1:
         return fn(n, 0, n_a)
+    from multiprocessing import get_context
+
+    # np.linspace also loads numpy here, before the fork, so the workers
+    # share the parent's numpy pages instead of each importing it.
     bounds = np.linspace(0, n_a, workers + 1, dtype=np.int64)
     tasks = [(fn, n, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
     with get_context("fork").Pool(workers, initializer=_ignore_sigint) as pool:

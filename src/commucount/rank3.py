@@ -43,8 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .core import np
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,

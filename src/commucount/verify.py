@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
-from .core import dependent_pair_constant, is_prime, zeta_value
+from .core import dependent_pair_constant, is_prime, np, zeta_value
 from .count2 import count_commuting_2x2, gamma_split, normalized_count_2x2
 from .divisor import lemma61_check, moment, partial_sum_float, r_table, r_zero
 from .errors import InvariantViolation

@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -400,14 +401,18 @@ def test_budget_refusal_exits_3(capsys):
     assert "budget" in err
 
 
+def child_env():
+    """This environment, with this package first on the child's path."""
+    root = os.path.dirname(os.path.dirname(commucount.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_cli_process(*argv, timeout=10):
     """The CLI in a child process, killed (and the test failed) if it runs
     past `timeout` seconds."""
-    root = os.path.dirname(os.path.dirname(commucount.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "commucount.cli", *argv, "--no-cache"],
-        capture_output=True, text=True, timeout=timeout, env=env,
+        capture_output=True, text=True, timeout=timeout, env=child_env(),
     )
 
 
@@ -634,6 +639,121 @@ def test_verify_is_exercised_through_acceptance():
 
     args = build_parser().parse_args(["verify", "--suite", "quick"])
     assert args.suite == "quick"
+
+
+# --- start-up without numpy -----------------------------------------------------
+
+
+def run_python(code, *argv):
+    """`python -c code argv` in a child process that imports this package,
+    its output decoded with the line ends as written."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, timeout=60, env=child_env()
+    )
+    proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
+    return proc
+
+
+# Runs the CLI once for each argument list given as JSON, in one process, and
+# prints for each run its exit code, its stdout and the numpy submodules
+# imported so far.
+REPORT_NUMPY = """
+import contextlib, io, json, sys
+from commucount.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue(), [m for m in sys.modules if m.startswith("numpy.")]])
+print(json.dumps(runs))
+"""
+
+
+def zero_runtime(out):
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
+
+
+def test_hits_help_and_integer_commands_start_without_numpy(capsys):
+    hits = [["count2", "--n", "10"], ["count2", "--n", "10", "--format", "csv"]]
+    misses = [
+        ["--help"],
+        ["lowerbound", "--d", "3", "--n", "4", "--no-cache"],
+        ["padic", "--p", "5", "--n", "3", "--method", "fast", "--no-cache"],
+    ]
+    assert run_cli(capsys, "count2", "--n", "10")[0] == 0  # the entry the hits replay
+    expected = [run_cli(capsys, *argv)[:2] for argv in hits + misses]
+    proc = run_python(REPORT_NUMPY, json.dumps(hits + misses))
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [numpy for _, _, numpy in runs] == [[]] * len(runs)
+    assert [code for code, _, _ in runs] == [code for code, _ in expected] == [0] * len(runs)
+    outs = [out for _, out, _ in runs]
+    assert outs[: len(hits)] == [out for _, out in expected[: len(hits)]]
+    # a miss times itself
+    assert [zero_runtime(out) for out in outs[len(hits) :]] == [
+        zero_runtime(out) for _, out in expected[len(hits) :]
+    ]
+
+
+def test_import_commucount_imports_every_module_but_not_numpy():
+    proc = run_python(
+        "import json, sys, commucount\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "print(json.dumps([n for n in commucount.__all__ if not hasattr(commucount, n)]))"
+    )
+    modules, unresolved = (json.loads(line) for line in proc.stdout.splitlines())
+    for name in ("core", "count2", "divisor", "errors", "oracle", "padic", "rank3"):
+        assert f"commucount.{name}" in modules
+    assert unresolved == []
+    assert [m for m in modules if m.startswith("numpy.")] == []
+
+
+# The same results with numpy imported before the package ("numpy-first") or
+# after it; the package's np must be the numpy module either way.
+SAMPLE_RESULTS = """
+import sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import commucount as cc
+import numpy
+print(cc.core.np is numpy is cc.divisor.np, type(numpy).__name__)
+print(cc.count_commuting_2x2(40), cc.r_table(6).r.tolist(), cc.brute_commuting_count(2, 1))
+print(cc.lemma61_check(list(range(-20, 23, 3))), cc.fast_padic_count(cc.PadicParams(3, 2)))
+"""
+
+
+def test_results_do_not_depend_on_when_numpy_is_imported():
+    first, after = (run_python(SAMPLE_RESULTS, order) for order in ("numpy-first", "numpy-after"))
+    assert first.returncode == after.returncode == 0, first.stderr + after.stderr
+    assert first.stdout == after.stdout
+    cc = commucount
+    assert first.stdout.splitlines() == [
+        "True module",
+        f"{cc.count_commuting_2x2(40)} {cc.r_table(6).r.tolist()} {cc.brute_commuting_count(2, 1)}",
+        f"{cc.lemma61_check(list(range(-20, 23, 3)))} {cc.fast_padic_count(cc.PadicParams(3, 2))}",
+    ]
+
+
+# Each worker reports whether numpy was imported when it was forked.
+FORKED_NUMPY = """
+import sys, types
+from commucount import oracle
+
+def numpy_loaded(n, lo, hi):
+    return int(type(sys.modules["numpy"]) is types.ModuleType)
+
+assert type(sys.modules["numpy"]) is not types.ModuleType
+print(oracle._parallel_over_a(numpy_loaded, 1, 2))
+"""
+
+
+def test_the_pool_forks_after_numpy_is_imported():
+    # So the workers share the parent's numpy pages instead of each
+    # importing it.
+    proc = run_python(FORKED_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
 
 
 @pytest.mark.skipif(shutil.which("commucount") is None, reason="script not on PATH")

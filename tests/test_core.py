@@ -2,6 +2,7 @@
 distributions, and the zeta constants everything downstream normalizes by.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -244,14 +245,18 @@ def test_power_sum_work_bounds_the_steps(n, degree):
     assert steps <= work <= 2 * steps
 
 
-def fresh_power_sums(n, monkeypatch):
+def exact_prefix_sums(cut):
+    """S_k(v) for k = 0..2 and v = 0..cut as lists of Python ints, from one
+    fresh sieve of length cut."""
+    phi = totient_sieve(cut).tolist()
+    return [list(itertools.accumulate(f * m**k for m, f in enumerate(phi))) for k in range(3)]
+
+
+def fresh_power_sums(n, low, monkeypatch):
     """totient_power_sums(n, d) for d = 0..2 from an empty prefix table,
     with every block end up to the cutoff checked against the exact prefix
-    sums of a fresh sieve of exactly that cutoff."""
+    sums `low` of a fresh sieve at least that long."""
     cut = _sieve_cutoff(n)
-    phi = totient_sieve(cut).astype(object)
-    m = np.arange(cut + 1, dtype=object)
-    low = [np.cumsum(phi * m**k) for k in range(3)]
     monkeypatch.setattr(core, "_prefix", None)
     sums = [totient_power_sums(n, degree) for degree in range(3)]
     for end, row in zip(sums[2].ends, sums[2].sums):
@@ -263,7 +268,8 @@ def fresh_power_sums(n, monkeypatch):
 def check_every_order(ns, monkeypatch):
     """The sums of every n are the same in ascending, descending and
     shuffled call order, each pass starting from an empty table."""
-    expected = {n: fresh_power_sums(n, monkeypatch) for n in ns}
+    low = exact_prefix_sums(max(_sieve_cutoff(n) for n in ns))
+    expected = {n: fresh_power_sums(n, low, monkeypatch) for n in ns}
     shuffled = list(ns)
     random.Random(12).shuffle(shuffled)
     for order in (sorted(ns), sorted(ns, reverse=True), shuffled):
