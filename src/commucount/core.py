@@ -128,26 +128,18 @@ _SIEVE_CAP = 77_000
 assert (_SIEVE_CAP * (_SIEVE_CAP + 1) // 2) ** 2 < 2**63
 
 
-def _power_sum(k: int, t: int) -> int:
-    """sum_{i <= t} i^k for k in 0..3."""
-    if k == 0:
-        return t
-    tri = t * (t + 1) // 2
-    if k == 1:
-        return tri
-    if k == 2:
-        return tri * (2 * t + 1) // 3
-    return tri * tri
-
-
 def _sieve_cutoff(n: int) -> int:
     """Largest v whose power sums are read from the prefix table:
-    10*(2n)^(2/3), capped by n and by the int64 bound.  Above it every value
-    costs O(sqrt(v)) Python steps; below it the table is built once, a few
-    numpy operations per entry, and shared by every later call with a cutoff
-    no longer than its own.  Of the factors 4 to 24 timed on gamma_split
-    plus r_zero for n = 10^3 .. 10^6, with a sieve per call, 6 to 10 were
-    the fastest."""
+    10*(2n)^(2/3), capped by n and by the int64 bound.  The cap binds from
+    n ~ 3.4*10^5 on, and there the factor changes nothing.  Below it the
+    factor trades the table against the recursion: every v above the cutoff
+    costs O(sqrt(v)) Python steps on every call, while the table is built
+    once per process, a few numpy operations per entry, and serves every
+    later call with a cutoff no longer than its own.  Timed on
+    totient_power_sums(n, 2) plus (n, 0) for factors 4 to 24 (2 vCPU), a
+    call that builds the table was fastest near 10 (1.0 ms at n = 10^4,
+    3.3 ms at 10^5), while a call on a built table kept getting cheaper up
+    to 16 or 24 (0.40 -> 0.25 ms and 1.5 -> 0.8 ms)."""
     return min(n, _SIEVE_CAP, 10 * math.ceil((2 * n) ** (2 / 3)))
 
 
@@ -191,8 +183,8 @@ def power_sum_work(n: int, degree: int) -> int:
 
 class PowerSums(NamedTuple):
     """S_k at every block end, k = 0..degree.  `ends` ascend; `sums[i][k]`
-    is S_k(ends[i]).  `steps` counts the sieve length plus the blocks the
-    recursion visited."""
+    is S_k(ends[i]).  `steps` counts the sieve length plus degree + 1 for
+    each block the recursion visited."""
 
     ends: list[int]
     sums: list[tuple[int, ...]]
@@ -225,26 +217,51 @@ def totient_power_sums(n: int, degree: int) -> PowerSums:
     ends += [v for v in (x // j for j in range(r, 1, -1)) if v > ends[-1]]
     cut = _sieve_cutoff(n)
     low = bisect_right(ends, cut)
-    prefix = _prefix_table(cut)
     at = np.asarray(ends[:low], dtype=np.int64)
-    columns = []
-    steps = cut + 1
-    for k in range(degree + 1):
-        table = dict(zip(ends[:low], prefix[k, at].tolist()))
+    rows = _prefix_table(cut)[: 1 if degree == 0 else 3, at].tolist()
+    # One walk over the blocks of d per v serves every degree: the running
+    # sums i^k up to the block end e are e, e(e+1)/2 and e(e+1)(2e+1)/6.
+    if degree == 0:
+        table = dict(zip(ends[:low], rows[0]))
         for v in ends[low:]:
-            total = _power_sum(k + 1, v)
-            d, before = 2, 1
+            s0 = v * (v + 1) // 2
+            d, b0 = 2, 1
             while d <= v:
                 w = v // d
                 e = v // w
-                upto = _power_sum(k, e)
-                total -= (upto - before) * table[w]
-                before = upto
+                s0 -= (e - b0) * table[w]
+                b0 = e
                 d = e + 1
-                steps += 1
-            table[v] = total
-        columns.append([table[v] for v in ends])
-    return PowerSums(ends, list(zip(*columns)), steps)
+            table[v] = s0
+        sums = [(table[v],) for v in ends]
+    else:
+        # Degree 1 takes this walk too and drops S_2 at the end: no caller
+        # asks for S_1 without S_2, so it gets no walk of its own.
+        table = dict(zip(ends[:low], zip(*rows)))
+        for v in ends[low:]:
+            tri = v * (v + 1) // 2
+            s0, s1, s2 = tri, tri * (2 * v + 1) // 3, tri * tri
+            d, b0, b1, b2 = 2, 1, 1, 1
+            while d <= v:
+                w = v // d
+                e = v // w
+                t0, t1, t2 = table[w]
+                tri = e * (e + 1) // 2
+                sq = tri * (2 * e + 1) // 3
+                s0 -= (e - b0) * t0
+                s1 -= (tri - b1) * t1
+                s2 -= (sq - b2) * t2
+                b0, b1, b2 = e, tri, sq
+                d = e + 1
+            table[v] = (s0, s1, s2)
+        sums = [table[v][: degree + 1] for v in ends]
+    # The walk over v visits one block per distinct v // d, d >= 2: with
+    # r = isqrt(v) there are 2r - [r(r+1) > v] distinct v // d over d >= 1.
+    blocks = 0
+    for v in ends[low:]:
+        r = math.isqrt(v)
+        blocks += 2 * r - (r * (r + 1) > v) - 1
+    return PowerSums(ends, sums, cut + 1 + (degree + 1) * blocks)
 
 
 def divisor_tau(n: int) -> int:

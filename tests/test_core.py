@@ -245,6 +245,35 @@ def test_power_sum_work_bounds_the_steps(n, degree):
     assert steps <= work <= 2 * steps
 
 
+def walked_blocks(n):
+    """Blocks of d the recursion visits for n: one per distinct v // d,
+    d >= 2, at every block end v above the cutoff, counted by walking."""
+    cut = _sieve_cutoff(n)
+    blocks = 0
+    for v in totient_power_sums(n, 0).ends:
+        d = 2 if v > cut else v + 1
+        while d <= v:
+            d = v // (v // d) + 1
+            blocks += 1
+    return blocks
+
+
+@pytest.mark.parametrize("n", [10**4, 54321, 10**6, 3 * 10**6])
+def test_lower_degrees_are_prefixes_of_degree_two(n):
+    # Above the cutoff every degree shares one walk over the blocks; each
+    # degree's sums must still be the leading entries of the degree-2 rows,
+    # and each charges degree + 1 steps per block visited.
+    full = totient_power_sums(n, 2)
+    blocks = walked_blocks(n)
+    assert blocks > 0
+    assert full.steps == _sieve_cutoff(n) + 1 + 3 * blocks
+    for degree in (0, 1):
+        sums = totient_power_sums(n, degree)
+        assert sums.ends == full.ends
+        assert sums.sums == [row[: degree + 1] for row in full.sums]
+        assert sums.steps == _sieve_cutoff(n) + 1 + (degree + 1) * blocks
+
+
 def exact_prefix_sums(cut):
     """S_k(v) for k = 0..2 and v = 0..cut as lists of Python ints, from one
     fresh sieve of length cut."""

@@ -3,6 +3,8 @@ literal per-direction sum, and the degenerate/nondegenerate split, all pinned
 to the brute oracle and to each other.
 """
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,6 +70,36 @@ PINNED = {
 @pytest.mark.parametrize("n", sorted(PINNED))
 def test_block_sums_match_recorded_per_m_values(n):
     count, degenerate, nondegenerate, r0 = PINNED[n]
+    assert count_commuting_2x2(n) == count
+    assert gamma_split(n) == (degenerate, nondegenerate)
+    assert r_zero(n) == r0
+
+
+# (count, degenerate, nondegenerate, r_N(0)) at N = 10^7, 10^8 and 10^9,
+# recorded with the recursion that walked Du's blocks once per degree,
+# before one walk served every degree.  10^8 and 10^9 take about 5 s and 40 s;
+# they run under COMMUCOUNT_ACCEPT_FULL=1.
+PINNED_LARGE = {
+    10**7: (14596620069240193951078036549815223169, 6400012060732767378806816105395808129, 8196608008507426572271220444419415040, 16868758800608513),
+    10**8: (1459661667930383032320756940641556789194497, 640000135538535152158520702854826101823553, 819661532391847880162236237786730687370944, 1910843941376406913),
+    10**9: (145966163297311745034239021697788263089685071489, 64000001504697642047522568401119350037143092673, 81966161792614102986716453296668913052541978816, 213481224362141281665),
+}
+FULL_ONLY = pytest.mark.skipif(
+    os.environ.get("COMMUCOUNT_ACCEPT_FULL") != "1",
+    reason="set COMMUCOUNT_ACCEPT_FULL=1 for N = 10^8 and 10^9",
+)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        pytest.param(10**7, id="1e7"),
+        pytest.param(10**8, id="1e8", marks=FULL_ONLY),
+        pytest.param(10**9, id="1e9", marks=FULL_ONLY),
+    ],
+)
+def test_large_values_pinned(n):
+    count, degenerate, nondegenerate, r0 = PINNED_LARGE[n]
     assert count_commuting_2x2(n) == count
     assert gamma_split(n) == (degenerate, nondegenerate)
     assert r_zero(n) == r0
