@@ -234,8 +234,26 @@ def _float_ratio(num: int, den: int) -> float | None:
         return None
 
 
+def _refuse_unprintable_moment(n: int, k: int, budget: WorkBudget) -> None:
+    """The moment I_k is at least r_N(0)^k, so when that alone has more
+    digits than Python prints, refuse before the table is built.  With L
+    the digits of r_N(0), r_N(0)^k has more than k(L - 1) and at most kL."""
+    # Interpreters before 3.10.7 have no limit, as does a limit of 0.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        return
+    r0 = r_zero(n, budget)
+    width = len(str(r0))
+    if k * (width - 1) >= limit or (k * width > limit and r0**k >= 10**limit):
+        raise ValueError(
+            f"moment {k} at n = {n} has more than {limit} digits, past the "
+            "interpreter's limit for printing an integer"
+        )
+
+
 def _cmd_moments(args) -> list[dict]:
     budget = WorkBudget(args.budget)
+    _refuse_unprintable_moment(args.n, args.k, budget)
     value = moment(args.n, args.k, budget)
     diagnostics = {
         "per_n_pow": _float_ratio(value, args.n ** (2 * args.k + 2)),

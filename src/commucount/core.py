@@ -17,7 +17,7 @@ import sys
 from bisect import bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -128,54 +128,30 @@ _SIEVE_CAP = 77_000
 assert (_SIEVE_CAP * (_SIEVE_CAP + 1) // 2) ** 2 < 2**63
 
 
-def _sieve_cutoff(n: int) -> int:
-    """Largest v whose power sums are read from the prefix table:
-    10*(2n)^(2/3), capped by n and by the int64 bound.  The cap binds from
-    n ~ 3.4*10^5 on, and there the factor changes nothing.  Below it the
-    factor trades the table against the recursion: every v above the cutoff
-    costs O(sqrt(v)) Python steps on every call, while the table is built
-    once per process, a few numpy operations per entry, and serves every
-    later call with a cutoff no longer than its own.  Timed on
-    totient_power_sums(n, 2) plus (n, 0) for factors 4 to 24 (2 vCPU), a
-    call that builds the table was fastest near 10 (1.0 ms at n = 10^4,
-    3.3 ms at 10^5), while a call on a built table kept getting cheaper up
-    to 16 or 24 (0.40 -> 0.25 ms and 1.5 -> 0.8 ms)."""
-    return min(n, _SIEVE_CAP, 10 * math.ceil((2 * n) ** (2 / 3)))
-
-
-# S_k(v) = _prefix[k, v] for k = 0..2 and every v the table reaches: one
-# table per process, at most 3 x (_SIEVE_CAP + 1) int64 (1.85 MB).
-_prefix: np.ndarray | None = None
-
-
-def _prefix_table(cut: int) -> np.ndarray:
-    """The shared table of S_0, S_1 and S_2 up to at least `cut`.  A longer
-    cutoff than the table's rebuilds it to exactly that cutoff, so no call
-    sieves past its own; a shorter one reuses it as it is."""
-    global _prefix
-    table = _prefix
-    if table is None or table.shape[1] <= cut:
-        # Free the old table before sieving and phi before m, so the build
-        # holds no more than the sieve itself did.
-        _prefix = table = None
-        phi = totient_sieve(cut)
-        table = np.empty((3, cut + 1), dtype=np.int64)
-        table[0] = phi
-        del phi
-        m = np.arange(cut + 1, dtype=np.int64)
-        np.multiply(table[0], m, out=table[1])
-        np.multiply(table[1], m, out=table[2])
-        np.cumsum(table, axis=1, out=table)
-        _prefix = table
+@cache
+def _prefix_table() -> np.ndarray:
+    """S_k(v) = table[k, v] for k = 0..2 and v = 0.._SIEVE_CAP: one int64
+    table per process (1.85 MB), sieved on its first use and read by every
+    call after it."""
+    # Sieve before the table is allocated and free phi before m, so the build
+    # holds no more than the sieve itself did.
+    phi = totient_sieve(_SIEVE_CAP)
+    table = np.empty((3, _SIEVE_CAP + 1), dtype=np.int64)
+    table[0] = phi
+    del phi
+    m = np.arange(_SIEVE_CAP + 1, dtype=np.int64)
+    np.multiply(table[0], m, out=table[1])
+    np.multiply(table[1], m, out=table[2])
+    np.cumsum(table, axis=1, out=table)
     return table
 
 
 def power_sum_work(n: int, degree: int) -> int:
     """Upper bound on PowerSums.steps of totient_power_sums(n, degree): the
-    sieve length plus, for each k, at most 2*sqrt(v) blocks at each of the
-    values v = 2n//j > cutoff, j = 2..J, which sum to at most 4*sqrt(2n*J)."""
+    table entries read plus, for each k, at most 2*sqrt(v) blocks at each of
+    the values v = 2n//j > cut, j = 2..J, which sum to at most 4*sqrt(2n*J)."""
     x = 2 * n
-    cut = _sieve_cutoff(n)
+    cut = min(n, _SIEVE_CAP)
     top_j = x // (cut + 1)
     recursion = 4 * math.isqrt(x * top_j) + 4 if top_j >= 2 else 0
     return cut + 1 + (degree + 1) * recursion
@@ -183,8 +159,9 @@ def power_sum_work(n: int, degree: int) -> int:
 
 class PowerSums(NamedTuple):
     """S_k at every block end, k = 0..degree.  `ends` ascend; `sums[i][k]`
-    is S_k(ends[i]).  `steps` counts the sieve length plus degree + 1 for
-    each block the recursion visited."""
+    is S_k(ends[i]).  `steps` counts T + 1 for the part of the prefix table
+    up to T = min(n, _SIEVE_CAP), plus degree + 1 for each block the
+    recursion visited."""
 
     ends: list[int]
     sums: list[tuple[int, ...]]
@@ -194,12 +171,14 @@ class PowerSums(NamedTuple):
 def totient_power_sums(n: int, degree: int) -> PowerSums:
     """S_k(v) = sum_{m <= v} phi(m) * m^k for k = 0..degree at every
     v = 2n // j, j >= 2: the right ends of the ranges of m in 1..n on which
-    (2n)//m, and so n//m, is constant.  Exact, O(n^(2/3)) steps.
+    (2n)//m, and so n//m, is constant.  Exact, in at most power_sum_work
+    steps: the T + 1 table entries up to T = min(n, _SIEVE_CAP), plus about
+    8n/sqrt(_SIEVE_CAP) recursion steps for each k once n passes the cap.
 
-    Up to the cutoff T ~ (2n)^(2/3) the sums are read from the process's
-    int64 prefix table (_prefix_table), which sieves the totient only when
-    T is longer than every cutoff before it.  Above it they follow Du's
-    recursion
+    Up to T the sums are read from the process's int64 prefix table
+    (_prefix_table), sieved once to the cap; its build is charged to no
+    call, so `steps` is the same in every call order.  Above T they follow
+    Du's recursion
         S_k(v) = sum_{i <= v} i^(k+1) - sum_{d >= 2} d^k * S_k(v // d),
     the identity (phi * id^k) * id^k = id^(k+1) summed up to v, with d
     grouped into the ranges where v // d is constant.  Every v // d is again
@@ -215,10 +194,10 @@ def totient_power_sums(n: int, degree: int) -> PowerSums:
     # and can only repeat the largest of those, at j = r.
     ends = list(range(1, x // (r + 1) + 1))
     ends += [v for v in (x // j for j in range(r, 1, -1)) if v > ends[-1]]
-    cut = _sieve_cutoff(n)
+    cut = min(n, _SIEVE_CAP)
     low = bisect_right(ends, cut)
     at = np.asarray(ends[:low], dtype=np.int64)
-    rows = _prefix_table(cut)[: 1 if degree == 0 else 3, at].tolist()
+    rows = _prefix_table()[: 1 if degree == 0 else 3, at].tolist()
     # One walk over the blocks of d per v serves every degree: the running
     # sums i^k up to the block end e are e, e(e+1)/2 and e(e+1)(2e+1)/6.
     if degree == 0:

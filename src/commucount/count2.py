@@ -19,7 +19,9 @@ have elementary closed forms, and every term for the phi(m) directions with
 the same coordinate maximum m is identical up to the |u|+|v| and |u*v| sums,
 so the sum over m collapses via sum_{j<m, gcd(j,m)=1} j = m*phi(m)/2 into
 blocks of m on which 2N//m is constant, each a polynomial in 2N//m times the
-totient power sums sum phi(m)*m^k: O(N^(2/3)) integer arithmetic in all.  A
+totient power sums sum phi(m)*m^k.  Those are read from a prefix table up to
+min(N, 77,000) and follow Du's recursion past it, about 8N/sqrt(77,000)
+steps per power, so once N passes the table the cost grows linearly in N.  A
 literal per-direction evaluation is kept alongside for cross-checking; the
 brute oracle validates both.
 """
@@ -122,8 +124,10 @@ def _split_terms(n: int, budget: WorkBudget | None) -> tuple[int, int]:
 
 def count_commuting_2x2(n: int, budget: WorkBudget | None = None) -> int:
     """Number of ordered pairs (A, B) of 2x2 integer matrices, entries in
-    [-n, n], with AB == BA.  Exact, O(n^(2/3)) time; the budget is charged
-    the sieve length and the recursion steps before any work."""
+    [-n, n], with AB == BA.  Exact, in at most power_sum_work(n, 2) steps:
+    the prefix table up to min(n, 77,000) plus about 8n/sqrt(77,000)
+    recursion steps per power past it, charged to the budget before any
+    work."""
     if n < 0:
         raise ValueError("n must be >= 0")
     deg, nondeg = _split_terms(n, budget)

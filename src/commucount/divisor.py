@@ -345,8 +345,10 @@ def r_zero(n: int, budget: WorkBudget | None = None) -> int:
     ordered pairs of linearly dependent vectors (x1, x4), (x3, x2), counted
     as 2*(2n+1)^2 - 1 (a zero vector involved) plus 16*sum_m phi(m)*(n//m)^2
     (both nonzero on a common primitive line).  The sum runs over blocks of
-    m with one n//m, reading sum phi(m) at their ends: O(n^(2/3)) time, with
-    the budget charged before any work."""
+    m with one n//m, reading sum phi(m) at their ends: at most
+    power_sum_work(n, 0) steps, the prefix table up to min(n, 77,000) plus
+    about 8n/sqrt(77,000) recursion steps past it, charged to the budget
+    before any work."""
     if n < 1:
         raise ValueError("n must be >= 1")
     (budget or WorkBudget()).require(power_sum_work(n, 0), "totient power sums")

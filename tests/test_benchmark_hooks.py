@@ -48,7 +48,7 @@ def test_every_workload_job_target_resolves(workload):
         assert callable(resolve(*target.split("."))), target
 
 
-def test_every_traced_function_fires_in_the_warmup_jobs(monkeypatch):
+def test_every_traced_function_fires_in_the_warmup_jobs():
     # A span that never opens reads 0 in every traced run, which looks like
     # a layer that costs nothing; each one must be reached by some warmup.
     spans, workloads = load("spans"), load("workloads")
@@ -56,7 +56,7 @@ def test_every_traced_function_fires_in_the_warmup_jobs(monkeypatch):
         importlib.import_module("commucount." + module)
     # A benchmark process starts without the totient prefix table that
     # earlier tests may have built, so its warmups are the ones that sieve.
-    monkeypatch.setattr(importlib.import_module("commucount.core"), "_prefix", None)
+    importlib.import_module("commucount.core")._prefix_table.cache_clear()
     recorder = spans.Recorder()
     with recorder.instrument():
         for workload in ("closed_form", "correlation", "enumeration"):

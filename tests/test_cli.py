@@ -206,6 +206,29 @@ def test_moments_past_the_float_range_gives_null_ratios(capsys, n, k):
     assert "per_n_pow,null," in out
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_moments_past_the_digit_limit_exit_2_before_the_table(capsys, monkeypatch):
+    # r_5(0) = 833, so I_k has more than 4300 digits from k = 1473 on; the
+    # refusal comes from r_N(0)^k alone, before any table is built.
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(commucount.divisor, "r_table", no_table)
+            for k in ("1473", "1000000"):
+                code, out, err = run_cli(capsys, "moments", "--n", "5", "--k", k)
+                assert (code, out) == (2, "")
+                assert "more than 4300 digits" in err
+        code, out, _ = run_cli(capsys, "moments", "--n", "5", "--k", "1472")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert len(json_lines(out)[0]["value"]) == 4300
+
+
 def test_doubling_with_lemma61(capsys, tmp_path):
     setfile = tmp_path / "ap.txt"
     setfile.write_text("1\n2\n3\n5/2\n")

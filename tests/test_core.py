@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import commucount.core as core
 from commucount.core import (
-    _sieve_cutoff,
+    _SIEVE_CAP,
     dependent_pair_constant,
     divisor_tau,
     is_prime,
@@ -247,8 +247,8 @@ def test_power_sum_work_bounds_the_steps(n, degree):
 
 def walked_blocks(n):
     """Blocks of d the recursion visits for n: one per distinct v // d,
-    d >= 2, at every block end v above the cutoff, counted by walking."""
-    cut = _sieve_cutoff(n)
+    d >= 2, at every block end v above the table, counted by walking."""
+    cut = min(n, _SIEVE_CAP)
     blocks = 0
     for v in totient_power_sums(n, 0).ends:
         d = 2 if v > cut else v + 1
@@ -258,70 +258,63 @@ def walked_blocks(n):
     return blocks
 
 
-@pytest.mark.parametrize("n", [10**4, 54321, 10**6, 3 * 10**6])
+@pytest.mark.parametrize("n", [10**5, 3 * 10**5, 10**6, 3 * 10**6])
 def test_lower_degrees_are_prefixes_of_degree_two(n):
-    # Above the cutoff every degree shares one walk over the blocks; each
+    # Above the table every degree shares one walk over the blocks; each
     # degree's sums must still be the leading entries of the degree-2 rows,
     # and each charges degree + 1 steps per block visited.
     full = totient_power_sums(n, 2)
     blocks = walked_blocks(n)
     assert blocks > 0
-    assert full.steps == _sieve_cutoff(n) + 1 + 3 * blocks
+    assert full.steps == _SIEVE_CAP + 1 + 3 * blocks
     for degree in (0, 1):
         sums = totient_power_sums(n, degree)
         assert sums.ends == full.ends
         assert sums.sums == [row[: degree + 1] for row in full.sums]
-        assert sums.steps == _sieve_cutoff(n) + 1 + (degree + 1) * blocks
+        assert sums.steps == _SIEVE_CAP + 1 + (degree + 1) * blocks
 
 
-def exact_prefix_sums(cut):
-    """S_k(v) for k = 0..2 and v = 0..cut as lists of Python ints, from one
-    fresh sieve of length cut."""
-    phi = totient_sieve(cut).tolist()
+@pytest.fixture(scope="module")
+def exact_prefix_sums():
+    """S_k(v) for k = 0..2 and v = 0.._SIEVE_CAP as lists of Python ints,
+    from one fresh sieve of the table's length."""
+    phi = totient_sieve(_SIEVE_CAP).tolist()
     return [list(itertools.accumulate(f * m**k for m, f in enumerate(phi))) for k in range(3)]
 
 
-def fresh_power_sums(n, low, monkeypatch):
-    """totient_power_sums(n, d) for d = 0..2 from an empty prefix table,
-    with every block end up to the cutoff checked against the exact prefix
-    sums `low` of a fresh sieve at least that long."""
-    cut = _sieve_cutoff(n)
-    monkeypatch.setattr(core, "_prefix", None)
-    sums = [totient_power_sums(n, degree) for degree in range(3)]
-    for end, row in zip(sums[2].ends, sums[2].sums):
-        if end <= cut:
-            assert list(row) == [low[k][end] for k in range(3)], (n, end)
-    return sums
+def check_against_exact(ns, low):
+    """Every degree's sums at every block end up to the table's reach are
+    the exact prefix sums `low`, lower degrees are the leading entries of
+    degree two, and no call takes more steps than it is charged."""
+    for n in ns:
+        sums = [totient_power_sums(n, degree) for degree in range(3)]
+        cut = min(n, _SIEVE_CAP)
+        for end, row in zip(sums[2].ends, sums[2].sums):
+            if end <= cut:
+                assert list(row) == [low[k][end] for k in range(3)], (n, end)
+        for degree in (0, 1):
+            assert sums[degree].ends == sums[2].ends, n
+            assert sums[degree].sums == [row[: degree + 1] for row in sums[2].sums], n
+        for degree in range(3):
+            assert sums[degree].steps <= power_sum_work(n, degree), (n, degree)
 
 
-def check_every_order(ns, monkeypatch):
-    """The sums of every n are the same in ascending, descending and
-    shuffled call order, each pass starting from an empty table."""
-    low = exact_prefix_sums(max(_sieve_cutoff(n) for n in ns))
-    expected = {n: fresh_power_sums(n, low, monkeypatch) for n in ns}
-    shuffled = list(ns)
-    random.Random(12).shuffle(shuffled)
-    for order in (sorted(ns), sorted(ns, reverse=True), shuffled):
-        monkeypatch.setattr(core, "_prefix", None)
-        for n in order:
-            assert [totient_power_sums(n, d) for d in range(3)] == expected[n], n
+def test_power_sums_from_the_table_match_a_fresh_sieve_up_to_2000(exact_prefix_sums):
+    # For n <= 2000 every block end is read from the table, and the charge
+    # is the table entries up to n alone.
+    check_against_exact(range(1, 2001), exact_prefix_sums)
+    assert all(power_sum_work(n, 2) == n + 1 for n in range(1, 2001))
 
 
-def test_power_sums_from_the_table_match_a_fresh_sieve_up_to_2000(monkeypatch):
-    # For n <= 2000 the cutoff is n itself, so every block end is read from
-    # the table.
-    assert all(_sieve_cutoff(n) == n for n in range(1, 2001))
-    check_every_order(range(1, 2001), monkeypatch)
-
-
-def test_power_sums_from_the_table_match_a_fresh_sieve_up_to_1e7(monkeypatch):
+def test_power_sums_from_the_table_match_a_fresh_sieve_up_to_1e7(exact_prefix_sums):
     rng = random.Random(7)
     ns = {round(10 ** rng.uniform(3.3, 7)) for _ in range(8)} | {10**7}
-    check_every_order(sorted(ns), monkeypatch)
+    check_against_exact(sorted(ns), exact_prefix_sums)
 
 
-def record_sieves(monkeypatch):
-    """Empty the prefix table and record the limit of every sieve after."""
+def test_the_table_is_sieved_once_to_the_cap(monkeypatch):
+    # Whatever the call order, the first call sieves the whole table and
+    # every later one reads it, so no call's steps depend on what ran first.
     limits = []
     real = core.totient_sieve
 
@@ -330,31 +323,12 @@ def record_sieves(monkeypatch):
         return real(limit)
 
     monkeypatch.setattr(core, "totient_sieve", sieve)
-    monkeypatch.setattr(core, "_prefix", None)
-    return limits
-
-
-def test_no_call_sieves_past_its_own_cutoff(monkeypatch):
-    limits = record_sieves(monkeypatch)
-    for n in (1, 7, 2000, 333, 10**4, 54321, 10**3, 10**6, 3 * 10**6, 10**5):
+    core._prefix_table.cache_clear()
+    for n in (1, 10**6, 10, 10**5, 2000):
         for degree in range(3):
-            limits.clear()
-            totient_power_sums(n, degree)
-            assert all(limit + 1 <= power_sum_work(n, degree) for limit in limits)
-            assert limits in ([], [_sieve_cutoff(n)])
-
-
-def test_a_shorter_cutoff_reuses_the_table(monkeypatch):
-    limits = record_sieves(monkeypatch)
-    totient_power_sums(10**4, 2)
-    assert limits == [_sieve_cutoff(10**4)]
-    assert core._prefix.shape == (3, _sieve_cutoff(10**4) + 1)
-    for n in (10**4, 5000, 2000, 100, 1):
-        totient_power_sums(n, 0)
-    assert limits == [_sieve_cutoff(10**4)]
-    totient_power_sums(10**5, 1)
-    assert limits == [_sieve_cutoff(10**4), _sieve_cutoff(10**5)]
-    assert core._prefix.shape == (3, _sieve_cutoff(10**5) + 1)
+            assert totient_power_sums(n, degree).steps <= power_sum_work(n, degree)
+    assert limits == [_SIEVE_CAP]
+    assert core._prefix_table().shape == (3, _SIEVE_CAP + 1)
 
 
 def test_power_sums_reject_bad_arguments():
