@@ -312,9 +312,8 @@ def test_power_sums_from_the_table_match_a_fresh_sieve_up_to_1e7(exact_prefix_su
     check_against_exact(sorted(ns), exact_prefix_sums)
 
 
-def test_the_table_is_sieved_once_to_the_cap(monkeypatch):
-    # Whatever the call order, the first call sieves the whole table and
-    # every later one reads it, so no call's steps depend on what ran first.
+def record_sieves(monkeypatch):
+    """Empty the prefix table and record the limit of every sieve after."""
     limits = []
     real = core.totient_sieve
 
@@ -324,9 +323,30 @@ def test_the_table_is_sieved_once_to_the_cap(monkeypatch):
 
     monkeypatch.setattr(core, "totient_sieve", sieve)
     core._prefix_table.cache_clear()
+    return limits
+
+
+def test_no_call_sieves_past_its_own_cutoff(monkeypatch):
+    # Every call's cutoff is the one table's, _SIEVE_CAP: whatever the call
+    # order, the first call sieves the whole table, no call sieves past it,
+    # and no call's steps depend on what ran first.
+    limits = record_sieves(monkeypatch)
     for n in (1, 10**6, 10, 10**5, 2000):
         for degree in range(3):
             assert totient_power_sums(n, degree).steps <= power_sum_work(n, degree)
+    assert limits == [_SIEVE_CAP]
+    assert core._prefix_table().shape == (3, _SIEVE_CAP + 1)
+
+
+def test_a_shorter_cutoff_reuses_the_table(monkeypatch):
+    # The table a call above the cap builds is read, never rebuilt, by calls
+    # at shorter n and at longer n alike.
+    limits = record_sieves(monkeypatch)
+    totient_power_sums(10**5, 2)
+    assert limits == [_SIEVE_CAP]
+    for n in (10**4, 5000, 2000, 100, 1):
+        totient_power_sums(n, 0)
+    totient_power_sums(3 * 10**6, 1)
     assert limits == [_SIEVE_CAP]
     assert core._prefix_table().shape == (3, _SIEVE_CAP + 1)
 
