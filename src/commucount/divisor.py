@@ -423,16 +423,8 @@ def divisor_bound_check(
     elif table.n != n:
         raise ValueError(f"table is for n={table.n}, not n={n}")
     ah = abs(h)
-    dsum = Fraction(0)
-    d = 1
-    while d * d <= ah:
-        if ah % d == 0:
-            if d <= n:
-                dsum += Fraction(1, d)
-            other = ah // d
-            if other != d and other <= n:
-                dsum += Fraction(1, other)
-        d += 1
+    # At most N trial divisions however large h is: r_table caps N.
+    dsum = sum(Fraction(1, d) for d in range(1, min(n, ah) + 1) if ah % d == 0)
     return Fraction(table.value(h)) / (n * n * dsum)
 
 

@@ -5,12 +5,13 @@ tuple in the stated domain and test the defining condition.  numpy only
 vectorizes the loops — no counting shortcut, no shared code with the fast
 counters in count2/divisor/padic (those are validated *against* this module).
 
-The 2x2 and 3x3 commuting-pair counts share one meet-in-the-middle join:
-the entries of AB - BA are linear in B, so B's entries are split into two
-halves, both halves are tabulated for a block of A, and the halves are
-joined on the packed values of those entries.  That changes the constant,
-not the semantics: every candidate B is still explicitly generated and
-every match explicitly counted.
+The 2x2 and 3x3 commuting-pair counts share one meet-in-the-middle join,
+one block driver and one box enumeration (a_rows): the entries of AB - BA
+are linear in B, so B's entries are split into two halves, both halves are
+tabulated for a block of A, and the halves are joined on the packed values
+of those entries.  That changes the constant, not the semantics: every
+candidate B is still explicitly generated and every match explicitly
+counted.
 
 The residue enumerations test each pair's equations in sequence, as a
 short-circuit `and`: the first cross product on every pair of a block, and
@@ -76,12 +77,6 @@ def resolve_threads(threads: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
-def grid_tuples(n: int, k: int) -> np.ndarray:
-    """All (2n+1)^k tuples over [-n, n], one per row, lexicographic."""
-    side = 2 * n + 1
-    return (np.indices((side,) * k).reshape(k, -1).T - n).astype(np.int64)
-
-
 # --- commuting pairs -----------------------------------------------------------
 
 
@@ -108,18 +103,19 @@ def _coef_tensor(d: int) -> np.ndarray:
 _BLOCK_KEYS = 2**18
 
 
-def a_rows(n: int, ids: np.ndarray) -> np.ndarray:
-    """The A matrices (flattened rows) with the given ids in the
-    lexicographic enumeration of the box [-n, n]^9."""
+def a_rows(n: int, ids: np.ndarray, k: int = 9) -> np.ndarray:
+    """The k-tuples over [-n, n] with the given ids in the lexicographic
+    enumeration of the box [-n, n]^k, one per row: at k = d^2, flattened
+    d x d matrices."""
     side = 2 * n + 1
-    pows = side ** np.arange(8, -1, -1, dtype=np.int64)
+    pows = side ** np.arange(k - 1, -1, -1, dtype=np.int64)
     return (np.asarray(ids, dtype=np.int64)[:, None] // pows) % side - n
 
 
 def _outer_sum(steps: np.ndarray, out: np.ndarray) -> None:
     """out[r, i] = sum_c steps[r, c, t_c] for every row r, where t_0..t_{k-1}
     are the digits of i in base `side` (the last one varies fastest, as in
-    grid_tuples): one broadcast sum per axis, the long axis innermost, the
+    a_rows): one broadcast sum per axis, the long axis innermost, the
     last one written straight into `out`."""
     rows, k, side = steps.shape
     acc = steps[:, k - 1]
@@ -170,8 +166,8 @@ class MeetInMiddle3:
         eqs = d * d - 1
         self.n = n
         self.side = 2 * n + 1
-        self.h1 = grid_tuples(n, (d * d + 1) // 2)
-        self.h2 = grid_tuples(n, d * d // 2)
+        halves = ((d * d + 1) // 2, d * d // 2)
+        self.h1, self.h2 = (a_rows(n, np.arange(self.side**k), k) for k in halves)
         pows = base ** np.arange(eqs, dtype=np.int64)
         # wmat[a, col] = sum_e pows[e] * (coefficient of a_flat[a] in the
         # col-th B-variable's coefficient within commutator entry e).
@@ -251,11 +247,11 @@ class MeetInMiddle3:
         return np.concatenate([self.h1[i1], self.h2[i2]], axis=1)
 
 
-def states_3x3(n: int) -> int:
-    """Budget accounting for the 3x3 oracle: every A, times both halves of
-    the B tabulation."""
+def join_states(n: int, d: int) -> int:
+    """Budget accounting for the d x d oracle: every A, times both halves
+    of the B tabulation."""
     side = 2 * n + 1
-    return side**9 * (side**5 + side**4)
+    return side ** (d * d) * (side ** ((d * d + 1) // 2) + side ** (d * d // 2))
 
 
 class _WorkerInterrupted(Exception):
@@ -299,11 +295,13 @@ def _parallel_over_a(fn, n: int, threads: int | None):
             raise KeyboardInterrupt from None
 
 
-def _count3_range(n: int, lo: int, hi: int) -> int:
-    mim = MeetInMiddle3(n)
+def _count_range(n: int, lo: int, hi: int, d: int = 3) -> int:
+    """Commuting-pair count of the d x d A with ids in [lo, hi), a block of
+    `max_rows` A at a time."""
+    mim = MeetInMiddle3(n, d)
     total = 0
     for block in range(lo, hi, mim.max_rows):
-        a_block = a_rows(n, np.arange(block, min(block + mim.max_rows, hi)))
+        a_block = a_rows(n, np.arange(block, min(block + mim.max_rows, hi)), d * d)
         total += int(mim.count_block(a_block).sum())
     return total
 
@@ -313,28 +311,20 @@ def brute_commuting_count(
 ) -> int:
     """Number of ordered pairs (A, B) of d x d integer matrices with entries
     in [-n, n] and AB == BA, by exhaustive enumeration: the join over every
-    A, a block of `max_rows` at a time.
+    A, a block of `max_rows` at a time, by one driver for both d.
 
     An n past the key packing is refused (ValueError) before the budget is
-    charged, and the budget is charged before any key is built: every A
-    times both halves of the B tabulation.  The 3x3 count splits the A over
-    `threads` worker processes; the 2x2 count runs in this process, where a
-    pool would cost more than the whole join."""
+    charged, and join_states(n, d) is charged before any key is built.  The
+    3x3 count splits the A over `threads` worker processes; the 2x2 count
+    runs in this process, where a pool would cost more than the whole
+    join."""
     if d not in (2, 3):
         raise UnsupportedDimension(f"no oracle for d={d}; supported: 2, 3")
     MeetInMiddle3.key_base(n, d)
-    budget = budget or WorkBudget()
-    if d == 3:
-        budget.require(states_3x3(n), "3x3 commuting-pair enumeration")
-        return _parallel_over_a(_count3_range, n, threads)
-    side = 2 * n + 1
-    budget.require(side**4 * 2 * side**2, "2x2 commuting-pair enumeration")
-    mim = MeetInMiddle3(n, d=2)
-    a = grid_tuples(n, 4)
-    return sum(
-        int(mim.count_block(a[lo : lo + mim.max_rows]).sum())
-        for lo in range(0, len(a), mim.max_rows)
-    )
+    (budget or WorkBudget()).require(join_states(n, d), f"{d}x{d} commuting-pair enumeration")
+    if d == 2:
+        return _count_range(n, 0, (2 * n + 1) ** 4, d)
+    return _parallel_over_a(_count_range, n, threads)
 
 
 # --- p-adic ------------------------------------------------------------------

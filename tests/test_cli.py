@@ -262,7 +262,7 @@ def _interrupted_count(n, lo, hi):
 def test_interrupt_inside_the_pool_exits_130(capsys, monkeypatch, time_limit):
     import commucount.oracle as oracle
 
-    monkeypatch.setattr(oracle, "_count3_range", _interrupted_count)
+    monkeypatch.setattr(oracle, "_count_range", _interrupted_count)
     with time_limit(60):
         code, out, err = run_cli(capsys, "count3", "--n", "1", "--threads", "2", "--no-cache")
     assert code == 130

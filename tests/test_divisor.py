@@ -249,6 +249,14 @@ def test_divisor_bound_check_by_hand():
         divisor_bound_check(1, 0)
 
 
+def test_divisor_bound_check_at_a_huge_h(time_limit):
+    # Off the support r_N(h) = 0; the divisor sum tries at most N divisors,
+    # not the ~10^15 a walk up to sqrt(h) would.
+    with time_limit(10):
+        assert divisor_bound_check(5, 10**30) == 0
+        assert divisor_bound_check(5, -(10**24)) == 0
+
+
 def test_divisor_bound_ratio_stays_bounded():
     n = 30
     table = r_table(n)
@@ -513,14 +521,23 @@ def test_sort_at_the_exactness_boundary(values):
     assert len(got) == len(want) == 3
 
 
-def test_argsort_route_matches_naive():
-    # 55 well-spread large values: ~1500 distinct products over a span of
-    # ~2e12, sorted as exact int64 differences.
+def test_argsort_route_matches_naive(monkeypatch):
+    # 12 well-spread values in +-1e9: their products span ~2e18, exact in
+    # int64, but too wide to pack a difference with its weight product, so
+    # the differences are argsorted (_group_sums).
     rng = np.random.default_rng(123)
-    vals = [int(v) for v in rng.choice(2_000_001, size=55, replace=False) - 1_000_000]
+    vals = [int(v) for v in rng.choice(2_000_000_001, size=12, replace=False) - 10**9]
+    calls = []
+    inner = divisor._group_sums
+
+    def spy(keys, prods):
+        calls.append(len(keys))
+        return inner(keys, prods)
+
+    monkeypatch.setattr(divisor, "_group_sums", spy)
     got = lemma61_check(vals)
     support = len({a * b for a in vals for b in vals})
-    assert 2_000_000 < support * support <= 25_000_000
+    assert calls == [support * (support - 1) // 2]
     assert got == naive_correlation_stats(vals)
 
 

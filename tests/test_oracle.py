@@ -3,6 +3,7 @@ them to an even simpler standard: tiny pure-Python re-enumerations, internal
 identities, and honest budget refusals.
 """
 
+import itertools
 import multiprocessing
 import os
 
@@ -14,7 +15,7 @@ from commucount.errors import BudgetExceeded, NotPrime, UnsupportedDimension
 from commucount.oracle import (
     _BLOCK_KEYS,
     MeetInMiddle3,
-    _count3_range,
+    _count_range,
     _doubly_null,
     _parallel_over_a,
     _residue_dtype,
@@ -26,19 +27,26 @@ from commucount.oracle import (
     brute_padic_solutions,
     brute_r_table,
     brute_valuation_classes,
-    grid_tuples,
+    join_states,
     resolve_threads,
-    states_3x3,
 )
+from commucount.count2 import count_commuting_2x2
 from commucount.verify import _padic_gate
 
 
-def test_grid_tuples_shape_and_order():
-    t = grid_tuples(1, 2)
-    assert t.shape == (9, 2)
-    assert t[0].tolist() == [-1, -1]
-    assert t[-1].tolist() == [1, 1]
-    assert len(np.unique(t, axis=0)) == 9
+def box_by_product(n, k):
+    """Every k-tuple over [-n, n] in lexicographic order, by itertools."""
+    return [list(t) for t in itertools.product(range(-n, n + 1), repeat=k)]
+
+
+def test_a_rows_shape_and_order():
+    """The tuples of k = 2, the 2x2 A and the halves of 2x2 B (k = 4), and
+    the halves of 3x3 B (k = 5): the whole box, and a scattered subset."""
+    for n, k in itertools.product(range(3), (2, 4, 5)):
+        want = box_by_product(n, k)
+        assert a_rows(n, np.arange(len(want)), k).tolist() == want
+        ids = np.arange(len(want))[::-7]
+        assert a_rows(n, ids, k).tolist() == [want[i] for i in ids]
 
 
 def test_brute_2x2_against_plain_loops():
@@ -95,9 +103,14 @@ def test_budget_refusals_are_typed_and_informative():
         brute_padic_solutions(2, 5, WorkBudget(10**6))
 
 
-def test_states_3x3_accounting():
-    side = 3
-    assert states_3x3(1) == side**9 * (side**5 + side**4)
+def test_join_states_accounting():
+    """The one charge equals the two formulas it replaced: every A times
+    both halves of the B tabulation, side^4 * 2 * side^2 at d = 2 and
+    side^9 * (side^5 + side^4) at d = 3."""
+    for n in range(5):
+        side = 2 * n + 1
+        assert join_states(n, 2) == side**4 * 2 * side**2
+        assert join_states(n, 3) == side**9 * (side**5 + side**4)
 
 
 def commuting_by_scan(a_flat, n):
@@ -106,7 +119,7 @@ def commuting_by_scan(a_flat, n):
     (2n+1)^9 B, a slice of fixed b1 at a time.  int16 holds every entry of
     AB and BA, at most 3n^2 in absolute value."""
     assert 3 * n * n < 2**15
-    rest = grid_tuples(n, 8).astype(np.int16)
+    rest = a_rows(n, np.arange((2 * n + 1) ** 8), 8).astype(np.int16)
     a = np.asarray(a_flat, dtype=np.int16).reshape(3, 3)
     found = []
     for b1 in range(-n, n + 1):
@@ -247,20 +260,44 @@ def test_2x2_join_at_the_largest_packable_n():
         MeetInMiddle3(457, d=2)
 
 
-@pytest.mark.parametrize("n, lo, rows", [(1, 0, 40), (1, 9000, 300), (2, 123456, 600)])
-def test_block_join_matches_per_a_counts(n, lo, rows):
-    mim = MeetInMiddle3(n)
-    if n == 2:
+@pytest.mark.parametrize(
+    "d, n, lo, rows",
+    [(3, 1, 0, 40), (3, 1, 9000, 300), (3, 2, 123456, 600), (2, 4, 0, 9**4)],
+    ids=["1-0-40", "1-9000-300", "2-123456-600", "2x2-4-0-6561"],
+)
+def test_block_join_matches_per_a_counts(d, n, lo, rows):
+    """The one block driver, _count_range, at both d: per-block counts equal
+    per-A counts, and sub-ranges cut off the block boundaries sum to the
+    range's count.  The 2x2 range is the whole box, so its count is also
+    the closed form's."""
+    mim = MeetInMiddle3(n, d)
+    if n == 2 or d == 2:
         assert mim.max_rows < rows  # the range spans more than one block
-    a = a_rows(n, np.arange(lo, lo + rows))
+    a = a_rows(n, np.arange(lo, lo + rows), d * d)
     per_a = [mim.count_for_a(a_flat) for a_flat in a]
     blocks = np.concatenate(
         [mim.count_block(a[s : s + mim.max_rows]) for s in range(0, rows, mim.max_rows)]
     )
     assert blocks.tolist() == per_a
-    assert _count3_range(n, lo, lo + rows) == sum(per_a)
+    assert _count_range(n, lo, lo + rows, d) == sum(per_a)
+    cuts = sorted({0, 1, min(mim.max_rows + 3, rows), rows // 2, rows})
+    spans = list(zip(cuts, cuts[1:]))
+    parts = [_count_range(n, lo + c, lo + c_next, d) for c, c_next in spans]
+    assert parts == [sum(per_a[c:c_next]) for c, c_next in spans]
+    if d == 2:
+        assert sum(parts) == brute_commuting_count(2, n) == count_commuting_2x2(n)
     if n == 1:
         assert per_a[::10] == commuting_counts_by_scan(a[::10], 1)
+
+
+def test_2x2_count_runs_in_this_process(monkeypatch):
+    """No pool for the 2x2 count, whatever the thread count."""
+
+    def no_workers(*args):
+        raise AssertionError("the 2x2 count started a pool")
+
+    monkeypatch.setattr(oracle, "_parallel_over_a", no_workers)
+    assert brute_commuting_count(2, 2, threads=2) == count_commuting_2x2(2)
 
 
 def test_block_cut_short_by_the_key_shift_limit():
@@ -347,8 +384,8 @@ def test_key_packing_is_checked_before_the_budget(monkeypatch, d, n):
 
 
 def test_a_batch_is_lexicographic():
-    batch = a_rows(1, np.arange(3**9))
-    assert np.array_equal(batch, grid_tuples(1, 9))
+    """The 3x3 A, at the default k = 9."""
+    assert a_rows(1, np.arange(3**9)).tolist() == box_by_product(1, 9)
 
 
 # --- p-adic oracles ------------------------------------------------------------

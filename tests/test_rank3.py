@@ -349,7 +349,8 @@ def test_classification_at_n3_is_refused_by_the_default_budget(monkeypatch, time
 def test_classification_charge_covers_the_states_visited(monkeypatch):
     """The budget is charged, before each phase, at least the states the
     phase visits: the 96 images of every A, then both half tabulations of
-    every canonical A; the oracle is charged states_3x3."""
+    every canonical A; the 3x3 and the 2x2 oracle are charged
+    join_states(n, d)."""
     import commucount.rank3 as rank3
 
     charged, visited = [], []
@@ -377,6 +378,7 @@ def test_classification_charge_covers_the_states_visited(monkeypatch):
         for run in (
             lambda: classify_commuting_3x3(n, threads=1),
             lambda: brute_commuting_count(3, n, threads=1),
+            lambda: brute_commuting_count(2, n),
         ):
             charged.clear()
             visited.clear()
