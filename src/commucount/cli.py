@@ -215,7 +215,7 @@ def _cmd_divisor(args) -> list[dict]:
         ]
     if args.zero or args.h is None or args.h == 0:
         value = r_zero(args.n, budget)
-        predicted = float(dependent_pair_constant()) * args.n**2 * np.log(args.n) if args.n > 1 else 0.0
+        predicted = float(dependent_pair_constant()) * args.n**2 * float(np.log(args.n)) if args.n > 1 else 0.0
         diagnostics = {"central_gap_per_n2": (value - predicted) / args.n**2}
         return [_result("divisor", {"n": args.n, "h": 0}, str(value), diagnostics)]
     table = r_table(args.n, budget)
@@ -264,7 +264,7 @@ def _cmd_moments(args) -> list[dict]:
 
 def _cmd_dx(args) -> list[dict]:
     value = classic_divisor_correlation(args.x, args.h)
-    diagnostics = {"per_x_log2x": value / (args.x * np.log(args.x) ** 2) if args.x > 1 else 0.0}
+    diagnostics = {"per_x_log2x": value / (args.x * float(np.log(args.x)) ** 2) if args.x > 1 else 0.0}
     return [_result("dx", {"x": args.x, "h": args.h}, str(value), diagnostics)]
 
 
@@ -324,7 +324,7 @@ def _cmd_verify(args) -> tuple[list[dict], int]:
             "verify",
             {"suite": args.suite, "criterion": res.key},
             "1" if res.passed else "0",
-            {"name": res.name, **_json_safe(res.details)},
+            {"name": res.name, **res.details},
         )
         line["runtime_ms"] = int((now - last) * 1000)
         last = now
@@ -357,29 +357,8 @@ def _result(command: str, params: dict, value: str, diagnostics: dict) -> dict:
         "command": command,
         "params": params,
         "value": value,
-        "diagnostics": _json_safe(diagnostics),
-        "runtime_ms": 0,
+        "diagnostics": diagnostics,
     }
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    # The plain types first, by exact type (np.float64 subclasses float), so
-    # a result without numpy values does not load numpy.
-    if type(obj) in (bool, int, float, str) or obj is None:
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, Fraction):
-        return _fraction_str(obj)
-    if isinstance(obj, (bool, int, float, str)):
-        return obj
-    return str(obj)
 
 
 def _render(results: list[dict], fmt: str) -> None:
@@ -486,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         for res in results:
             res["runtime_ms"] = elapsed_ms
         _render(results, args.format)
-        if params_for_key is not None and len(results) == 1:
+        if params_for_key is not None:
             cache_store(args.command, params_for_key, results[0])
         return 0
     except BudgetExceeded as exc:

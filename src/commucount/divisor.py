@@ -64,10 +64,7 @@ _FINGERPRINT_PRIME = 2**61 - 31
 
 
 def _autocorrelation(
-    values: np.ndarray,
-    weights: np.ndarray,
-    center: int,
-    budget: WorkBudget | None = None,
+    values: np.ndarray, weights: np.ndarray, budget: WorkBudget | None = None
 ) -> np.ndarray:
     """Exact autocorrelation r(h) = sum_{m1 - m2 = h} c(m1) c(m2) of sorted
     distinct values m (an int64 array, or an object array of Python ints)
@@ -80,11 +77,12 @@ def _autocorrelation(
     The budget is charged the transform's digits, span * len(str(r(0))), or
     the sort's s^2.
 
-    Every r(h) is at most r(0) = sum c^2 (Cauchy-Schwarz), which must equal
-    `center`, and the r(h) sum to (sum c)^2; a result that breaks either
-    identity raises InvariantViolation.  Values too many and too spread
-    for both fixed memory caps, the transform's span and the sort's pairs,
-    raise ValueError: no budget lifts those caps."""
+    Every r(h) is at most r(0) = sum c^2 (Cauchy-Schwarz), which the
+    transform's centre must equal (the sort sets r(0) to it), and the r(h)
+    sum to (sum c)^2; a result that breaks either identity raises
+    InvariantViolation.  Values too many and too spread for both fixed
+    memory caps, the transform's span and the sort's pairs, raise
+    ValueError: no budget lifts those caps."""
     budget = budget or WorkBudget()
     lo, hi = int(values[0]), int(values[-1])
     span, s = hi - lo + 1, len(values)
@@ -114,7 +112,7 @@ def _autocorrelation(
             half = _fingerprint_pair_sums(values, weights)
         got_center, got_mass = r0, r0 + 2 * int(half.sum())
         corr = np.concatenate(([r0], half))
-    _check_centre_and_mass(r0, got_center, center, got_mass, int(weights.sum()) ** 2)
+    _check_centre_and_mass(r0, got_center, r0, got_mass, int(weights.sum()) ** 2)
     return corr
 
 
@@ -605,6 +603,6 @@ def lemma61_check(aset: SetLike, budget: WorkBudget | None = None) -> dict[str, 
         raise ValueError("lemma61_check supports sets of at most 500 elements")
     ints, _ = _scaled_integers(aset)
     values, counts = _product_counts(ints)
-    r0 = int(counts @ counts)
-    corr = _autocorrelation(values, counts, r0, budget)
+    corr = _autocorrelation(values, counts, budget)
+    r0 = int(corr[0])
     return {"sup_r": int(corr.max()), "r0": r0, "i3": 2 * _power_sum(corr, 3) - r0**3}

@@ -61,7 +61,6 @@ class CriterionResult:
 
 def criterion_oracle_2x2(budget: WorkBudget | None = None) -> CriterionResult:
     """The closed-form 2x2 counter equals exhaustive enumeration for N <= 6."""
-    budget = budget or WorkBudget()
     counts = {}
     ok = True
     for n in range(7):
@@ -108,13 +107,12 @@ def criterion_r_table(budget: WorkBudget | None = None) -> CriterionResult:
     """Autocorrelation table: oracle-exact entries for N <= 6, mass and
     symmetry identities there and at N = 50, and the N^2 log N size of the
     central value at N = 2000."""
-    budget = budget or WorkBudget()
     big_n = 2000
     ok = True
-    for n in range(1, 7):
-        ok = ok and dict(r_table(n, budget).items()) == brute_r_table(n, budget)
     for n in (*range(1, 7), 50):
         table = r_table(n, budget)
+        if n <= 6:
+            ok = ok and dict(table.items()) == brute_r_table(n, budget)
         ok = ok and table.total() == (2 * n + 1) ** 4
         ok = ok and all(table.value(-h) == v for h, v in table.items())
     predicted = float(dependent_pair_constant()) * big_n * big_n * math.log(big_n)
@@ -133,7 +131,6 @@ def criterion_moments(
 ) -> CriterionResult:
     """I_2(1) = 1921 exactly; the third moment per (2N)^8 stays below 50 and
     varies by at most 2x across the tested N (per N^8 reported alongside)."""
-    budget = budget or WorkBudget()
     ok = moment(1, 2, budget) == 1921
     per_side = []
     per_n = []
@@ -168,7 +165,6 @@ def criterion_padic_exact(
 ) -> CriterionResult:
     """fast_padic_count = p^{2n} * brute count on every modulus whose full
     enumeration fits under `limit` states."""
-    budget = budget or WorkBudget()
     pairs = _padic_gate(limit)
     ok = fast_padic_count(PadicParams(2, 1)) == 88
     ok = ok and fast_padic_count(PadicParams(2, 2)) == 6400
@@ -211,7 +207,6 @@ def criterion_lifting(budget: WorkBudget | None = None) -> CriterionResult:
     """Brute valuation classes scale as p^{6h} times the level-(n-2h)
     class-0 count for h < n/2, with the deep residual mass p^{6*floor(n/2)},
     at (p, n) = (2, 2), (2, 3), (3, 2)."""
-    budget = budget or WorkBudget()
     cases = ((2, 2), (2, 3), (3, 2))
     ok = True
     for p, n in cases:
@@ -238,7 +233,6 @@ def criterion_classification(
     """Rank classes partition the 3x3 commuting pairs: totals equal the
     oracle count, the rank-0 class is exactly the diagonal pairs, and every
     enumerated pair passes the M X = Y check while being classified."""
-    budget = budget or WorkBudget()
     ok = True
     details: dict = {"classes": {}}
     try:
@@ -265,7 +259,6 @@ def criterion_lower_bounds(
     """E_d(N) dominates 2/(d+1)*(2N)^{d+1} exactly for N <= 100, and the
     constructive certificates stay below the true counts (2x2 for N <= 4,
     3x3 at N = 1)."""
-    budget = budget or WorkBudget()
     ok = all(
         lower_bound_E(d, n) * (d + 1) >= 2 * (2 * n) ** (d + 1)
         for d in (2, 3)
@@ -316,7 +309,6 @@ def criterion_sup_autocorrelation(
     A length-L doubling progression has ~L^2 distinct pairwise product
     differences, all huge integers, so the quick suite trims the geometric
     cases to 200; the full suite runs the stated 500."""
-    budget = budget or WorkBudget()
     prog_size = 500
     sets = list(_random_test_sets(np.random.default_rng(_SEED)))
     n_random = len(sets)
@@ -367,7 +359,6 @@ def criterion_demo_4x4() -> CriterionResult:
 
 def extra_padic_deep(budget: WorkBudget | None = None) -> CriterionResult:
     """Full-suite extra: the (2,5) modulus, just past the 10^9 gate."""
-    budget = budget or WorkBudget()
     fast = fast_padic_count(PadicParams(2, 5))
     ok = fast == 2**10 * brute_padic_solutions(2, 5, budget)
     main = theorem13_main(PadicParams(2, 5))

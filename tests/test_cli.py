@@ -485,6 +485,44 @@ def test_csv_handles_diagnostic_free_results(capsys):
     assert len(rows) == 16  # header + 15 support points
 
 
+def plain_leaves(obj):
+    if isinstance(obj, dict):
+        assert all(type(k) is str for k in obj)
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for item in obj for leaf in plain_leaves(item)]
+    return [obj]
+
+
+def test_handlers_return_only_plain_values(tmp_path):
+    """Results reach json.dumps, the csv writer and the cache as the handlers
+    return them, so every leaf of params and diagnostics must be a plain
+    type, not a numpy scalar."""
+    from commucount.cli import _HANDLERS, build_parser
+
+    setfile = tmp_path / "a.txt"
+    setfile.write_text("1\n2\n3/2\n-7\n")
+    argvs = [
+        "count2 --n 3 --split",
+        "count3 --n 1 --classify",
+        "padic --p 2 --n 2",
+        "padic --p 2 --n 1 --method degenerate",
+        "divisor --n 5 --zero",
+        "divisor --n 5 --h 2",
+        "moments --n 3 --k 3",
+        "dx --x 100 --h 1",
+        f"doubling --set-file {setfile} --lemma61",
+        "lowerbound --d 3 --n 1",
+        "demo4x4 --seed 3",
+    ]
+    assert {argv.split()[0] for argv in argvs} == set(_HANDLERS)
+    for argv in argvs:
+        args = build_parser().parse_args(argv.split())
+        for res in _HANDLERS[args.command](args):
+            leaves = plain_leaves([res["params"], res["diagnostics"]])
+            assert {type(v) for v in leaves} <= {int, float, str, bool, type(None)}, argv
+
+
 # --- the cache --------------------------------------------------------------------
 
 
@@ -655,9 +693,10 @@ def test_concurrent_stores_never_expose_a_partial_entry(capsys, isolated_cache, 
 
 
 def test_verify_is_exercised_through_acceptance():
-    """The verify subcommand runs the full criterion battery; its CLI path is
-    covered by tests/test_acceptance.py (quick suite, exit code 0), so this
-    file only pins the wiring."""
+    """The verify subcommand runs the full criterion battery.  Its rendering
+    and exit codes are tested with stubbed suites in tests/test_verify.py,
+    and tests/test_acceptance.py runs each criterion function directly, so
+    this file only pins the parsing."""
     from commucount.cli import build_parser
 
     args = build_parser().parse_args(["verify", "--suite", "quick"])

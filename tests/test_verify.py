@@ -4,6 +4,8 @@ The criterion functions themselves are exercised at full scale by
 tests/test_acceptance.py.
 """
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -143,23 +145,48 @@ def test_cli_verify_all_pass(monkeypatch, capsys, tmp_path):
 
 
 def test_cli_verify_failure_sets_exit_1(monkeypatch, capsys, tmp_path):
+    """A failed criterion sets exit code 1 and is named on stderr; details,
+    nested or not, are merged with the name into the diagnostics, and the
+    CSV rows JSON-encode those that are not a number or a string."""
     monkeypatch.setenv("COMMUCOUNT_CACHE_DIR", str(tmp_path))
+    details = {"classes": {"1": [36, 0]}, "ns": [20, 35], "largest": None}
     monkeypatch.setattr(
         cli,
         "run_suite",
         fake_suite(
             [
-                CriterionResult("1", "fine", True, {}),
-                CriterionResult("2", "broken", False, {"deviation": 9.9}),
+                CriterionResult("1", "fine", True, details),
+                CriterionResult("2", "broken", False, details),
             ]
         ),
     )
     code = cli.main(["verify", "--suite", "full"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "failed criteria: 2" in captured.err
+    assert captured.err == "failed criteria: 2\n"
     lines = [json.loads(s) for s in captured.out.splitlines()]
     assert [l["value"] for l in lines] == ["1", "0"]
+    assert [l["diagnostics"] for l in lines] == [
+        {"name": "fine", **details},
+        {"name": "broken", **details},
+    ]
+
+    code = cli.main(["verify", "--suite", "full", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "failed criteria: 2\n"
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0][:5] == ["command", "param_string", "value", "diagnostic_name", "diagnostic_value"]
+    assert [row[:5] for row in rows[1:]] == [
+        ["verify", f"criterion={key};suite=full", value, name, diagnostic]
+        for key, value, label in (("1", "1", "fine"), ("2", "0", "broken"))
+        for name, diagnostic in (
+            ("classes", '{"1": [36, 0]}'),
+            ("largest", "null"),
+            ("name", label),
+            ("ns", "[20, 35]"),
+        )
+    ]
 
 
 def test_cli_verify_is_never_cached(monkeypatch, capsys, tmp_path):
