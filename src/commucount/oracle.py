@@ -94,12 +94,16 @@ def _coef_tensor(d: int) -> np.ndarray:
     return coef
 
 
-# Keys per half-tabulation block: a block's keys, and for partner_pairs
-# their sorting permutation, are int64 arrays of 2 MB, about one core's L2
-# cache on the 2-vCPU Xeon this was tuned on.  There brute_commuting_count(3,
-# 1) took 118-122 ms with blocks of 2^16..2^19 keys and 175 ms with 2^20, and
-# a 10,000-A slice at N = 2 509-527 ms against 848 ms.  A block must hold
-# two rows at n = 4, 2 * (9^5 + 9^4) keys.
+# Keys per half-tabulation block: a block's keys are built and sorted in the
+# key dtype of MeetInMiddle3, then widened to int64, and for partner_pairs
+# carry a sorting permutation; widened, they are 2 MB, about one core's L2
+# cache on the 2-vCPU Xeon this was tuned on.  There, with int64 keys,
+# brute_commuting_count(3, 1) took 118-122 ms with blocks of 2^16..2^19 keys
+# and 175 ms with 2^20, and a 10,000-A slice at N = 2 509-527 ms against
+# 848 ms.  With int32 keys at N = 1 the blocks of 2^16..2^19 keys still
+# timed alike (61-66 ms at best) and 2^20 slower (100 ms), as did the
+# N = 2 slice (400-428 ms against 616 ms).  A block must hold two rows at
+# n = 4, 2 * (9^5 + 9^4) keys.
 _BLOCK_KEYS = 2**18
 
 
@@ -137,11 +141,19 @@ class MeetInMiddle3:
     1's keys for A are h1 @ w[:s] + const and half 2's are
     -h2 @ w[s:] + const.  Each half's keys are an outer sum over its grid
     axes of coefficient times value, written straight into one array of
-    keys.  Row r of a block is shifted by r * key_span, so no two rows
-    share a key, and every key is doubled, plus 1 on half 2, so that
-    sorting a row puts each half-1 run of a value right before its half-2
-    run; one sort and one pass over the block then find every match.
-    `max_rows` keeps the keys below 2^63 and a block near _BLOCK_KEYS keys.
+    keys.  Every key is doubled, plus 1 on half 2, so that sorting a row
+    puts each half-1 run of a value right before its half-2 run.
+
+    A row's keys lie in [0, key_span), so they are built and sorted in
+    `key_dtype`, the narrowest dtype that holds key_span: int32 when
+    key_span <= 2^31 (d = 3 at n <= 1, d = 2 at n <= 11), int64 otherwise.
+    int32 is exact: every partial sum in _outer_sum is twice a packed
+    partial commutator, whose digits stay within +-2dn^2, so it stays below
+    key_span / 2 in absolute value.  The sorted rows are then widened to
+    int64 and row r of a block shifted by r * key_span, so no two rows
+    share a key; one pass over the block then finds every match.
+    `max_rows` keeps the shifted keys below 2^63 and a block near
+    _BLOCK_KEYS keys.
 
     The name is that of the 3x3 solver this class began as; the benchmark
     under perfbench/ traces its methods by that name, so a rename waits for
@@ -175,6 +187,7 @@ class MeetInMiddle3:
         self.key_const = (base // 2) * int(pows.sum())
         self.key_span = 2 * base**eqs
         self.width = len(self.h1) + len(self.h2)
+        self.key_dtype = np.int32 if self.key_span <= 2**31 else np.int64
         self.max_rows = max(1, min(2**63 // self.key_span, _BLOCK_KEYS // self.width))
 
     def _sorted_keys(self, a_block: np.ndarray, order: bool = False):
@@ -185,34 +198,44 @@ class MeetInMiddle3:
             raise ValueError(f"a block holds at most {self.max_rows} rows")
         # steps[r, col, t]: what B-variable col at its t-th value adds to
         # row r's doubled key, negated on half 2.  The first axis of each
-        # half also carries the row shift, the constant and the half bit.
+        # half also carries the constant and the half bit.
         steps = (2 * a_block @ self.wmat)[:, :, None] * np.arange(-self.n, self.n + 1)
         split = self.h1.shape[1]
         steps[:, split:] *= -1
-        start = 2 * self.key_const + self.key_span * np.arange(rows, dtype=np.int64)[:, None]
-        steps[:, 0] += start
-        steps[:, split] += start + 1
-        keys = np.empty((rows, self.width), dtype=np.int64)
+        steps[:, 0] += 2 * self.key_const
+        steps[:, split] += 2 * self.key_const + 1
+        steps = steps.astype(self.key_dtype, copy=False)
+        keys = np.empty((rows, self.width), dtype=self.key_dtype)
         w1 = len(self.h1)
         _outer_sum(steps[:, :split], keys[:, :w1])
         _outer_sum(steps[:, split:], keys[:, w1:])
-        if not order:
+        perm = None
+        if order:
+            perm = np.argsort(keys, axis=1)
+            keys = np.take_along_axis(keys, perm, axis=1)
+            perm = perm.ravel()
+        else:
             keys.sort(axis=1)
-            return keys.ravel(), None
-        perm = np.argsort(keys, axis=1)
-        return np.take_along_axis(keys, perm, axis=1).ravel(), perm.ravel()
+        keys = keys.astype(np.int64, copy=False)
+        keys += self.key_span * np.arange(rows, dtype=np.int64)[:, None]
+        return keys.ravel(), perm
 
     @staticmethod
     def _shared_runs(keys: np.ndarray):
         """For sorted keys: the last half-1 position of every value that
         both halves hold, and the start and end of that value's run.  Keys
-        k < k' that differ in the half bit alone are 2v and 2v + 1."""
+        k < k' that differ in the half bit alone are 2v and 2v + 1.  A run
+        ends where its neighbour differs, so only runs longer than one key
+        are searched for.  Index last1 - 1 = -1 reads the largest key and
+        last1 + 2 wraps to the smallest, and neither equals a key inside
+        the run."""
         last1 = np.flatnonzero((keys[:-1] ^ keys[1:]) == 1)
-        return (
-            last1,
-            np.searchsorted(keys, keys[last1], "left"),
-            np.searchsorted(keys, keys[last1 + 1], "right"),
-        )
+        start, end = last1.copy(), last1 + 2
+        left = keys[last1 - 1] == keys[last1]
+        right = keys.take(end, mode="wrap") == keys[last1 + 1]
+        start[left] = np.searchsorted(keys, keys[last1[left]], "left")
+        end[right] = np.searchsorted(keys, keys[last1[right] + 1], "right")
+        return last1, start, end
 
     def count_block(self, a_block: np.ndarray) -> np.ndarray:
         """Commuting-partner count of every A in a block of at most

@@ -191,22 +191,30 @@ def _flatten3(mat, name: str) -> list[int]:
 _ROWS_3X3 = ((1, 2, 1), (2, 1, 1), (1, 3, 1), (3, 1, 1), (3, 2, -1), (2, 3, -1))
 
 
+def _diagonal_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X (k, 2d-2) of k pairs of d x d matrices, A = a[i] and B = b[i] as
+    (k, d, d) stacks: (alpha_2, beta_2, ..., alpha_d, beta_d) with
+    alpha_t = a_tt - a_11 and beta_t = b_tt - b_11."""
+    alpha = a.diagonal(axis1=1, axis2=2)[:, 1:] - a[:, :1, 0]
+    beta = b.diagonal(axis1=1, axis2=2)[:, 1:] - b[:, :1, 0]
+    return np.stack([alpha, beta], axis=2).reshape(len(b), -1)
+
+
 def _pair_systems(a: np.ndarray, b: np.ndarray, rows=_ROWS_3X3):
     """M (k, R, 2d-2), X (k, 2d-2), Y (k, R) for k pairs of d x d matrices,
     A = a[i] and B = b[i] given as flattened rows, in the dtype of b.
 
-    X = (alpha_2, beta_2, ..., alpha_d, beta_d) with alpha_t = a_tt - a_11
-    and beta_t = b_tt - b_11.  The (i, j) entry of AB - BA is
+    X is _diagonal_differences(A, B).  The (i, j) entry of AB - BA is
     a_ij (beta_j - beta_i) - b_ij (alpha_j - alpha_i) plus the terms free of
     the diagonal, sum_{k != i, j} (a_ik b_kj - b_ik a_kj); the row (i, j,
     sign) of M takes sign times the first part and Y takes minus sign times
-    the second, so row r of M X - Y is sign times that entry."""
+    the second, so row r of M X - Y is sign times that entry.  For i != j
+    both parts read only off-diagonal entries, so M and Y do not depend on
+    the diagonals."""
     k = len(b)
     d = math.isqrt(b.shape[1])
     a, b = a.reshape(k, d, d), b.reshape(k, d, d)
-    alpha = a.diagonal(axis1=1, axis2=2)[:, 1:] - a[:, :1, 0]
-    beta = b.diagonal(axis1=1, axis2=2)[:, 1:] - b[:, :1, 0]
-    x = np.stack([alpha, beta], axis=2).reshape(k, 2 * d - 2)
+    x = _diagonal_differences(a, b)
     m = np.zeros((k, len(rows), 2 * d - 2), dtype=b.dtype)
     y = np.zeros((k, len(rows)), dtype=b.dtype)
     for r, (i, j, sign) in enumerate(rows):
@@ -266,7 +274,8 @@ def orbit_group() -> tuple[np.ndarray, np.ndarray]:
     """The 96 maps A -> g.A of the group generated by conjugation with
     signed permutation matrices, transposition and negation, as (src, sign),
     two read-only (96, 9) arrays with (g.A)[k] = sign[g, k] * A[src[g, k]]
-    on row-major flattenings.  Built on first use."""
+    on row-major flattenings.  Map g + 48 is map g followed by negation.
+    Built on first use."""
     actions = set()
     for perm in itertools.permutations(range(3)):
         for signs in itertools.product((1, -1), repeat=3):
@@ -274,30 +283,40 @@ def orbit_group() -> tuple[np.ndarray, np.ndarray]:
             conj = [(3 * p + q, signs[i] * signs[j]) for i, p in enumerate(perm)
                     for j, q in enumerate(perm)]
             transposed = [conj[3 * j + i] for i in range(3) for j in range(3)]
-            for entries in (conj, transposed):
-                for neg in (1, -1):
-                    actions.add(tuple((k, neg * e) for k, e in entries))
+            actions.add(tuple(conj))
+            actions.add(tuple(transposed))
     table = np.array(sorted(actions), dtype=np.int64)
-    src, sign = table[:, :, 0], table[:, :, 1]
-    if len(src) != 96:
-        raise InvariantViolation(f"the orbit group has {len(src)} distinct actions, not 96")
+    src = np.concatenate([table[:, :, 0]] * 2)
+    sign = np.concatenate([table[:, :, 1], -table[:, :, 1]])
+    if len({(tuple(s), tuple(e)) for s, e in zip(src.tolist(), sign.tolist())}) != 96:
+        raise InvariantViolation(f"the orbit group has {len(src)} maps, not 96 distinct ones")
     src.flags.writeable = sign.flags.writeable = False
     return src, sign
 
 
-# A rows per chunk of the canonicalization: a (rows, 96) int64 product.
+# A rows per chunk of the canonicalization: a (48, rows) int64 product.
 _CANON_ROWS = 2**15
 
 
 def _orbit_images(n: int, lo: int, hi: int) -> np.ndarray:
     """id(g.A) for the A with lexicographic ids lo..hi-1 (rows) and every
-    g of orbit_group() (columns).  id(g.A) is linear in A, so this is one
-    (rows, 9) @ (9, 96) int64 product."""
+    g of orbit_group() (columns).  id(g.A) is linear in A, so the first 48
+    columns are one (48, 9) @ (9, rows) int64 product; map g + 48 negates
+    map g, and id(-A) = (2n+1)^9 - 1 - id(A), as every digit t of id(A)
+    becomes 2n - t.  The array is column-major: each map's images are
+    contiguous."""
     src, sign = orbit_group()
+    half = len(src) // 2
+    if not (np.array_equal(src[half:], src[:half]) and np.array_equal(sign[half:], -sign[:half])):
+        raise InvariantViolation("the orbit group's second half is not its first one negated")
     place = (2 * n + 1) ** np.arange(8, -1, -1, dtype=np.int64)
-    weights = np.zeros((9, len(src)), dtype=np.int64)
-    weights[src, np.arange(len(src))[:, None]] = sign * place
-    return a_rows(n, np.arange(lo, hi)) @ weights + n * int(place.sum())
+    weights = np.zeros((half, 9), dtype=np.int64)
+    weights[np.arange(half)[:, None], src[:half]] = sign[:half] * place
+    images = np.empty((2 * half, hi - lo), dtype=np.int64)
+    np.matmul(weights, a_rows(n, np.arange(lo, hi)).T, out=images[:half])
+    images[:half] += n * int(place.sum())
+    np.subtract((2 * n + 1) ** 9 - 1, images[:half], out=images[half:])
+    return images.T
 
 
 def orbit_count(n: int) -> int:
@@ -315,7 +334,7 @@ def orbit_representatives(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     smallest image under orbit_group(), and their orbit sizes, the number
     of distinct images.  InvariantViolation unless each size times the
     number of g that fix A is the group order (orbit-stabilizer).  One
-    (hi - lo, 96) int64 product: callers pass _CANON_ROWS ids at a time."""
+    (48, hi - lo) int64 product: callers pass _CANON_ROWS ids at a time."""
     images = _orbit_images(n, lo, hi)
     own = np.arange(lo, hi)
     mine = images.min(axis=1) == own
@@ -340,8 +359,14 @@ class RankClassCounts:
         return sum(self.s)
 
 
-# Commuting pairs per batch of _pair_systems and batched_rank.
+# Commuting pairs per batch of the M X = Y check, and systems per batch of
+# batched_rank.
 _RANK_ROWS = 65536
+
+
+def _b_rows(mim: MeetInMiddle3, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """The flattened B = (h1[i1], h2[i2]) of the join's index pairs."""
+    return np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1)
 
 
 def _classify_range(n: int, lo: int, hi: int) -> np.ndarray:
@@ -349,10 +374,11 @@ def _classify_range(n: int, lo: int, hi: int) -> np.ndarray:
     pair weighted by its A's orbit size, then the number of those A and the
     sum of their orbit sizes.
 
-    Every pair's system is built and checked against M X = Y.  M depends
-    only on the off-diagonal entries of A and B, and B's are digits 1..3
-    of i1 and 0..2 of i2 in base 2n+1, so each distinct (row, off-diagonal
-    B) of a block is ranked once and its rank given to all its pairs."""
+    M and Y read only the off-diagonal entries of A and B, and B's are
+    digits 1..3 of i1 and 0..2 of i2 in base 2n+1, so they are built once
+    for each distinct (row, off-diagonal B) of a block, its class.  Every
+    pair's X, from the diagonals, is checked against M X = Y of its class,
+    and each class is ranked once and its rank given to all its pairs."""
     mim = MeetInMiddle3(n)
     cube = mim.side**3
     counts = np.zeros(7, dtype=np.int64)
@@ -363,23 +389,23 @@ def _classify_range(n: int, lo: int, hi: int) -> np.ndarray:
             stop = block + mim.max_rows
             a_block = a_rows(n, reps[block:stop])
             row, i1, i2 = mim.partner_pairs(a_block)
-
-            def systems(sel):
-                bs = np.concatenate([mim.h1[i1[sel]], mim.h2[i2[sel]]], axis=1)
-                return _pair_systems(a_block[row[sel]], bs)
-
+            key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            m, _, y = _pair_systems(a_block[row[first]], _b_rows(mim, i1[first], i2[first]))
             for s in range(0, len(row), _RANK_ROWS):
-                m, x, y = systems(slice(s, s + _RANK_ROWS))
-                if not np.array_equal(np.einsum("krc,kc->kr", m, x), y):
+                sel = slice(s, s + _RANK_ROWS)
+                x = _diagonal_differences(
+                    a_block[row[sel]].reshape(-1, 3, 3),
+                    _b_rows(mim, i1[sel], i2[sel]).reshape(-1, 3, 3),
+                )
+                cls = inverse[sel]
+                if not np.array_equal(np.einsum("krc,kc->kr", m[cls], x), y[cls]):
                     raise InvariantViolation(
                         "a commuting pair violated M X = Y; the system rows "
                         "disagree with the commutator"
                     )
-            key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
             ranks = np.concatenate([
-                batched_rank(systems(first[s : s + _RANK_ROWS])[0])
-                for s in range(0, len(first), _RANK_ROWS)
+                batched_rank(m[s : s + _RANK_ROWS]) for s in range(0, len(m), _RANK_ROWS)
             ])
             hist = np.bincount(5 * row + ranks[inverse], minlength=5 * len(a_block))
             counts[:5] += sizes[block:stop] @ hist.reshape(-1, 5)

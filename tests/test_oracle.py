@@ -9,6 +9,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from commucount import oracle
 from commucount.errors import BudgetExceeded, NotPrime, UnsupportedDimension
@@ -225,19 +226,88 @@ def check_keys_unpack(mim, d, a, positions_per_block=None, seed=0):
 
 @pytest.mark.parametrize(
     "d, n",
-    [(3, n) for n in range(5)] + [(2, n) for n in range(5)],
-    ids=[str(n) for n in range(5)] + [f"2x2-{n}" for n in range(5)],
+    [(3, n) for n in range(5)] + [(2, n) for n in (*range(5), 11, 12)],
+    ids=[str(n) for n in range(5)] + [f"2x2-{n}" for n in (*range(5), 11, 12)],
 )
 def test_keys_unpack_to_the_half_commutators(d, n):
     """check_keys_unpack on random blocks with the zero and a scalar A, on
-    every key at d = 2 and up to n = 2 at d = 3, and on 3200 keys a block
-    at d = 3, n = 3, 4."""
+    every key at d = 2 up to n = 4 and up to n = 2 at d = 3, on 3200 keys
+    a block at d = 3, n = 3, 4, and on 2200 at d = 2, n = 11 and 12, the
+    last int32 and the first int64 key width."""
     mim = MeetInMiddle3(n, d)
     rng = np.random.default_rng(100 + n)
     a = rng.integers(-n, n + 1, (5, d * d))
     a[0] = 0
     a[1] = n * np.eye(d, dtype=np.int64).ravel()
-    check_keys_unpack(mim, d, a, 3000 if d == 3 and n >= 3 else None, seed=n)
+    sample = 3000 if d == 3 and n >= 3 else 2000 if n > 4 else None
+    check_keys_unpack(mim, d, a, sample, seed=n)
+
+
+def commuting_2x2_by_scan(a_flat, n):
+    """The number of B in the box [-n, n]^4 with AB == BA, by a literal scan
+    of every B."""
+    bs = a_rows(n, np.arange((2 * n + 1) ** 4), 4).reshape(-1, 2, 2)
+    a = np.asarray(a_flat).reshape(2, 2)
+    return int((a @ bs == bs @ a).all(axis=(1, 2)).sum())
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_count_block_at_both_key_widths(n):
+    """At the last int32 and the first int64 key width, count_block on one
+    block equals a literal AB == BA scan of every B, for A with centralizers
+    of dimension 4 (scalars) and 2, random ones and A with entries +-n.
+    The keys of the last two reach 7/8 of the key span, past 2^31 at
+    n = 12."""
+    mim = MeetInMiddle3(n, d=2)
+    assert mim.key_span <= 2**31 if n == 11 else mim.key_span > 2**31
+    assert mim.key_dtype == (np.int32 if n == 11 else np.int64)
+    rng = np.random.default_rng(n)
+    a = np.concatenate([
+        [[0, 0, 0, 0], [n, 0, 0, n], [0, 1, 0, 0], [n, -n, -n, n], [-n, n, n, -n + 1]],
+        rng.integers(-n, n + 1, (4, 4)),
+        [[n, n, n, -n], [n, -n, n, -n]],
+    ])
+    assert len(a) <= mim.max_rows
+    assert mim.count_block(a).tolist() == [commuting_2x2_by_scan(a_flat, n) for a_flat in a]
+
+
+def shared_runs_reference(keys):
+    """_shared_runs by two binary searches of every shared value."""
+    last1 = np.flatnonzero((keys[:-1] ^ keys[1:]) == 1)
+    return (
+        last1,
+        np.searchsorted(keys, keys[last1], "left"),
+        np.searchsorted(keys, keys[last1 + 1], "right"),
+    )
+
+
+@st.composite
+def half_keys(draw):
+    """Sorted keys 2v (half 1) and 2v + 1 (half 2): each drawn value v
+    with zero to three keys on each half, all shifted by an even offset."""
+    values = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        min_size=len(values), max_size=len(values),
+    ))
+    offset = 2 * draw(st.integers(0, 2**40))
+    keys = [offset + 2 * v + h for v, run in zip(values, runs) for h in (0, 1) for _ in range(run[h])]
+    return np.array(keys, dtype=np.int64)
+
+
+@given(half_keys())
+@example(np.array([0, 1]))
+@example(np.array([6, 6, 6, 7, 7]))
+@example(np.array([0, 0, 1, 4, 9, 9, 10, 11, 11]))
+@example(np.array([0, 1, 1, 2, 4, 5]))
+@example(np.array([2, 3, 8, 8, 9]))
+def test_shared_runs_equal_the_binary_searches(keys):
+    """The neighbour test finds the same runs as two searches, on runs of
+    one and of more keys on either half, including runs that start at
+    index 0 or end at the last index."""
+    got = MeetInMiddle3._shared_runs(keys)
+    want = shared_runs_reference(keys)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_2x2_join_at_the_largest_packable_n():

@@ -194,20 +194,22 @@ def test_pair_systems_batch_reproduces_the_commutator():
 
 
 def test_pair_systems_ignore_the_diagonals():
-    """M depends only on the off-diagonal entries of A and B: new diagonal
-    entries for B, or for both, leave it unchanged.  This is what lets the
-    classification rank one system per distinct off-diagonal B."""
+    """M and Y depend only on the off-diagonal entries of A and B: new
+    diagonal entries for B, or for both, leave them unchanged.  This is
+    what lets the classification build and rank one system per distinct
+    off-diagonal B, and check every pair against it."""
     rng = np.random.default_rng(31)
     diagonal = [0, 4, 8]
     for n in range(5):
         a = rng.integers(-n, n + 1, (300, 9))
         b = rng.integers(-n, n + 1, (300, 9))
-        m = _pair_systems(a, b)[0]
+        m, _, y = _pair_systems(a, b)
         a2, b2 = a.copy(), b.copy()
         a2[:, diagonal] = rng.integers(-n, n + 1, (300, 3))
         b2[:, diagonal] = rng.integers(-n, n + 1, (300, 3))
-        assert np.array_equal(_pair_systems(a, b2)[0], m)
-        assert np.array_equal(_pair_systems(a2, b2)[0], m)
+        for other in (_pair_systems(a, b2), _pair_systems(a2, b2)):
+            assert np.array_equal(other[0], m)
+            assert np.array_equal(other[2], y)
 
 
 def test_ranking_the_distinct_systems_gives_every_pairs_rank():
