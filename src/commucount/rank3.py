@@ -33,7 +33,13 @@ this one; transposition turns the map into (D, E) -> -(its value)^T; and
 A -> -A turns it into (D, E) -> (its value at (D, -E)).  Each is the map
 composed with invertible maps on both sides, so its rank, and with it the
 histogram of rank(M) over the partners of A, is the same for every A in
-an orbit.  Each classification worker canonicalizes its own range of ids.
+an orbit.  Each classification worker canonicalizes its own range of ids,
+a bounded sub-range at a time.
+
+The scalar A = aI never enter the join.  Every B commutes with them, and M
+reads only off-diagonal entries, so their rank histogram is (2n+1)^3, for
+B's diagonals, times the histogram of the (2n+1)^6 off-diagonal B, whose
+systems are built, checked and ranked once.
 """
 
 from __future__ import annotations
@@ -294,8 +300,9 @@ def orbit_group() -> tuple[np.ndarray, np.ndarray]:
     return src, sign
 
 
-# A rows per chunk of the canonicalization: a (48, rows) int64 product.
-_CANON_ROWS = 2**15
+# Ids per sub-range of the canonicalization: its (rows, 96) int64 image
+# table takes 768 bytes a row, 3 MB at 2^12 rows.
+_CANON_ROWS = 2**12
 
 
 def _orbit_images(n: int, lo: int, hi: int) -> np.ndarray:
@@ -329,12 +336,10 @@ def orbit_count(n: int) -> int:
     return sum((2 * n + 1) ** (9 - int(r)) for r in ranks) // len(src)
 
 
-def orbit_representatives(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical A among the ids lo..hi-1, the A that are their own
-    smallest image under orbit_group(), and their orbit sizes, the number
-    of distinct images.  InvariantViolation unless each size times the
-    number of g that fix A is the group order (orbit-stabilizer).  One
-    (48, hi - lo) int64 product: callers pass _CANON_ROWS ids at a time."""
+def _canonical_in(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """orbit_representatives over one sub-range, from one image table; a
+    function of its own, so that each table is freed before the next one
+    is built."""
     images = _orbit_images(n, lo, hi)
     own = np.arange(lo, hi)
     mine = images.min(axis=1) == own
@@ -343,6 +348,20 @@ def orbit_representatives(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     if (distinct * (orbits == own[mine, None]).sum(axis=1) != images.shape[1]).any():
         raise InvariantViolation("3x3 orbit sizes disagree with orbit-stabilizer")
     return own[mine], distinct
+
+
+def orbit_representatives(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical A among the ids lo..hi-1, the A that are their own
+    smallest image under orbit_group(), and their orbit sizes, the number
+    of distinct images.  InvariantViolation unless each size times the
+    number of g that fix A is the group order (orbit-stabilizer).  The
+    images are computed over sub-ranges of at most _CANON_ROWS ids, so one
+    image table at a time is held however wide the range."""
+    empty = np.zeros(0, dtype=np.int64)
+    reps, sizes = zip((empty, empty), *(
+        _canonical_in(n, s, min(s + _CANON_ROWS, hi)) for s in range(lo, hi, _CANON_ROWS)
+    ))
+    return np.concatenate(reps), np.concatenate(sizes)
 
 
 # --- rank classification over the whole box --------------------------------
@@ -363,52 +382,93 @@ class RankClassCounts:
 # batched_rank.
 _RANK_ROWS = 65536
 
+# The positions of the off-diagonal entries in a flattened 3x3 matrix.
+_OFF_DIAGONAL = [1, 2, 3, 5, 6, 7]
+
 
 def _b_rows(mim: MeetInMiddle3, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
     """The flattened B = (h1[i1], h2[i2]) of the join's index pairs."""
     return np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1)
 
 
+def _require_solved(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """InvariantViolation unless every commuting pair's X solves its M X = Y."""
+    if not np.array_equal(np.einsum("krc,kc->kr", m, x), y):
+        raise InvariantViolation(
+            "a commuting pair violated M X = Y; the system rows disagree with the commutator"
+        )
+
+
+def _scalar_ids(n: int) -> np.ndarray:
+    """The ids of the scalar matrices aI, a in [-n, n]: every digit is n,
+    plus a on the diagonal."""
+    place = (2 * n + 1) ** np.arange(8, -1, -1, dtype=np.int64)
+    return n * place.sum() + np.arange(-n, n + 1) * place[[0, 4, 8]].sum()
+
+
+def _scalar_histogram(n: int, a_flat: np.ndarray) -> np.ndarray:
+    """The rank histogram of the (2n+1)^6 systems of the scalar A = a_flat
+    with each off-diagonal B, a _RANK_ROWS batch at a time.  B takes A's
+    diagonal, so every pair commutes and its X is 0; each system must still
+    satisfy M X = Y before it is ranked."""
+    count = (2 * n + 1) ** 6
+    hist = np.zeros(5, dtype=np.int64)
+    for s in range(0, count, _RANK_ROWS):
+        off = a_rows(n, np.arange(s, min(s + _RANK_ROWS, count)), 6)
+        a = np.repeat(a_flat[None, :], len(off), axis=0)
+        b = a.copy()
+        b[:, _OFF_DIAGONAL] = off
+        m, x, y = _pair_systems(a, b)
+        _require_solved(m, x, y)
+        hist += np.bincount(batched_rank(m), minlength=5)
+    return hist
+
+
 def _classify_range(n: int, lo: int, hi: int) -> np.ndarray:
     """Rank classes of the pairs of the canonical A among ids lo..hi-1, each
-    pair weighted by its A's orbit size, then the number of those A and the
-    sum of their orbit sizes.
+    pair weighted by its A's orbit size, then the number of those A, the
+    sum of their orbit sizes and the sum of the scalar A's orbit sizes.
 
-    M and Y read only the off-diagonal entries of A and B, and B's are
-    digits 1..3 of i1 and 0..2 of i2 in base 2n+1, so they are built once
-    for each distinct (row, off-diagonal B) of a block, its class.  Every
-    pair's X, from the diagonals, is checked against M X = Y of its class,
-    and each class is ranked once and its rank given to all its pairs."""
+    The scalar A = aI stay out of the join.  Every B commutes with them and
+    M and Y read only the off-diagonal entries of A and B, so their pairs'
+    classes are (2n+1)^3, for B's diagonals, times the rank histogram of
+    the off-diagonal B (_scalar_histogram), times their orbit sizes.
+
+    The other canonical A are joined max_rows at a time.  B's off-diagonal
+    entries are digits 1..3 of i1 and 0..2 of i2 in base 2n+1, so M and Y
+    are built once for each distinct (row, off-diagonal B) of a block, its
+    class.  Every pair's X, from the diagonals, is checked against M X = Y
+    of its class, and each class is ranked once and its rank given to all
+    its pairs."""
     mim = MeetInMiddle3(n)
     cube = mim.side**3
-    counts = np.zeros(7, dtype=np.int64)
-    for start in range(lo, hi, _CANON_ROWS):
-        reps, sizes = orbit_representatives(n, start, min(start + _CANON_ROWS, hi))
-        counts[5:] += len(reps), sizes.sum()
-        for block in range(0, len(reps), mim.max_rows):
-            stop = block + mim.max_rows
-            a_block = a_rows(n, reps[block:stop])
-            row, i1, i2 = mim.partner_pairs(a_block)
-            key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            m, _, y = _pair_systems(a_block[row[first]], _b_rows(mim, i1[first], i2[first]))
-            for s in range(0, len(row), _RANK_ROWS):
-                sel = slice(s, s + _RANK_ROWS)
-                x = _diagonal_differences(
-                    a_block[row[sel]].reshape(-1, 3, 3),
-                    _b_rows(mim, i1[sel], i2[sel]).reshape(-1, 3, 3),
-                )
-                cls = inverse[sel]
-                if not np.array_equal(np.einsum("krc,kc->kr", m[cls], x), y[cls]):
-                    raise InvariantViolation(
-                        "a commuting pair violated M X = Y; the system rows "
-                        "disagree with the commutator"
-                    )
-            ranks = np.concatenate([
-                batched_rank(m[s : s + _RANK_ROWS]) for s in range(0, len(m), _RANK_ROWS)
-            ])
-            hist = np.bincount(5 * row + ranks[inverse], minlength=5 * len(a_block))
-            counts[:5] += sizes[block:stop] @ hist.reshape(-1, 5)
+    reps, sizes = orbit_representatives(n, lo, hi)
+    scalar = np.isin(reps, _scalar_ids(n))
+    counts = np.zeros(8, dtype=np.int64)
+    counts[5:] = len(reps), sizes.sum(), sizes[scalar].sum()
+    if scalar.any():
+        counts[:5] = counts[7] * cube * _scalar_histogram(n, a_rows(n, reps[scalar][:1])[0])
+    reps, sizes = reps[~scalar], sizes[~scalar]
+    for block in range(0, len(reps), mim.max_rows):
+        stop = block + mim.max_rows
+        a_block = a_rows(n, reps[block:stop])
+        row, i1, i2 = mim.partner_pairs(a_block)
+        key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        m, _, y = _pair_systems(a_block[row[first]], _b_rows(mim, i1[first], i2[first]))
+        for s in range(0, len(row), _RANK_ROWS):
+            sel = slice(s, s + _RANK_ROWS)
+            x = _diagonal_differences(
+                a_block[row[sel]].reshape(-1, 3, 3),
+                _b_rows(mim, i1[sel], i2[sel]).reshape(-1, 3, 3),
+            )
+            cls = inverse[sel]
+            _require_solved(m[cls], x, y[cls])
+        ranks = np.concatenate([
+            batched_rank(m[s : s + _RANK_ROWS]) for s in range(0, len(m), _RANK_ROWS)
+        ])
+        hist = np.bincount(5 * row + ranks[inverse], minlength=5 * len(a_block))
+        counts[:5] += sizes[block:stop] @ hist.reshape(-1, 5)
     return counts
 
 
@@ -423,7 +483,9 @@ def classify_commuting_3x3(
     both the set of B commuting with A and rank(M), so each worker
     enumerates the canonical A among its ids, weighting their pairs by
     orbit size; the canonical A must number orbit_count(n), with sizes
-    summing to (2n+1)^9.  Every pair must satisfy M X = Y before its system
+    summing to (2n+1)^9, and the n + 1 scalar ones, whose classes come from
+    the off-diagonal B alone rather than from the join, must have sizes
+    summing to 2n + 1.  Every pair must satisfy M X = Y before its system
     is ranked exactly.  The classes sum to the oracle's count; rank 0 is
     exactly the (2n+1)^6 both-diagonal pairs.
 
@@ -440,9 +502,11 @@ def classify_commuting_3x3(
         len(orbit_group()[0]) * side**9 + orbits * (side**5 + side**4),
         "3x3 orbit canonicalization and rank classification",
     )
-    *counts, found, total = _parallel_over_a(_classify_range, n, threads)
+    *counts, found, total, scalar_total = _parallel_over_a(_classify_range, n, threads)
     if found != orbits or total != side**9:
         raise InvariantViolation("the canonical 3x3 A disagree with Burnside's orbit count")
+    if scalar_total != side:
+        raise InvariantViolation(f"the scalar 3x3 orbit sizes sum to {scalar_total}, not {side}")
     return RankClassCounts(n=n, s=tuple(int(c) for c in counts))
 
 

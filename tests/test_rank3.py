@@ -4,6 +4,8 @@ the 4x4 infeasibility demonstration.
 """
 
 import itertools
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from commucount.oracle import (
 )
 from commucount.rank3 import (
     _pair_systems,
+    _scalar_histogram,
     batched_rank,
     build_system_3x3,
     check_offdiag_constraint,
@@ -282,6 +285,69 @@ def test_classification_at_n0():
     rc = classify_commuting_3x3(0)
     assert rc.s == (1, 0, 0, 0, 0)
     assert rc.total() == 1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_scalar_partners_are_the_diagonals_times_the_off_diagonal_histogram(n):
+    """The identity the classification's scalar path rests on: every B
+    commutes with A = aI, and M reads only off-diagonal entries, so the
+    rank histogram over A's partners in the join is (2n+1)^3, for B's
+    diagonals, times the histogram of the (2n+1)^6 off-diagonal B, which
+    _scalar_histogram computes.  Composed here from the join, the system
+    builder and the rank, with M X = Y checked on every pair."""
+    side = 2 * n + 1
+    mim = MeetInMiddle3(n)
+    b_off = np.zeros((side**6, 9), dtype=np.int64)
+    b_off[:, [1, 2, 3, 5, 6, 7]] = list(itertools.product(range(-n, n + 1), repeat=6))
+    m_off = _pair_systems(np.zeros_like(b_off), b_off)[0]
+    off_hist = np.bincount(batched_rank(m_off), minlength=5)
+    assert off_hist.sum() == side**6 and off_hist[0] == 1
+    for a in (0, 1, -1):
+        a_flat = a * np.eye(3, dtype=np.int64).ravel()
+        _, i1, i2 = mim.partner_pairs(a_flat[None, :])
+        assert len(i1) == side**9
+        b = np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1)
+        m, x, y = _pair_systems(np.repeat(a_flat[None, :], len(b), axis=0), b)
+        assert np.array_equal(np.einsum("krc,kc->kr", m, x), y)
+        hist = np.bincount(batched_rank(m), minlength=5)
+        assert hist.tolist() == (side**3 * off_hist).tolist()
+        assert _scalar_histogram(n, a_flat).tolist() == off_hist.tolist()
+
+
+def traced_peak_mb(run) -> float:
+    """The peak of the memory traced by tracemalloc, to which numpy reports
+    its buffers, while run() runs, above what was traced before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_classification_at_n1_holds_little_memory():
+    """One image table of at most _CANON_ROWS ids and one join block at a
+    time, with the scalar A out of the join: a table of all 3^9 ids would
+    take 15 MB."""
+    classify_commuting_3x3(0, threads=1)
+    assert traced_peak_mb(lambda: classify_commuting_3x3(1, threads=1)) < 8
+
+
+@pytest.mark.skipif(
+    os.environ.get("COMMUCOUNT_ACCEPT_FULL") != "1",
+    reason="set COMMUCOUNT_ACCEPT_FULL=1 for the classification at N = 2",
+)
+def test_classification_at_n2_holds_little_memory():
+    """At N = 2 the scalar A would bring 5^9 pairs each into the join; out
+    of it, their 5^6 off-diagonal systems and the join's blocks are the
+    largest arrays."""
+    classify_commuting_3x3(0, threads=1)
+    assert traced_peak_mb(lambda: classify_commuting_3x3(2, threads=1)) < 48
 
 
 def test_classification_is_the_same_for_any_worker_count():
