@@ -14,10 +14,13 @@ candidate B is still explicitly generated and every match explicitly
 counted.
 
 The residue enumerations test each pair's equations in sequence, as a
-short-circuit `and`: the first cross product on every pair of a block, and
-the later ones only on the pairs that pass it.  That is still a literal
-test of every pair; no equation is skipped for a pair that passes the ones
-before it.
+short-circuit `and`, filter first.  The first cross product reads only
+(x2, x3, y2, y3), so it is evaluated once per such quadruple; every pair of
+a quadruple that passes is then generated explicitly, with each choice of
+(x4, y4), and tested on the second cross product, and the pairs that pass
+the second on the third.  That is still a literal test: a pair is counted
+only after all three equations hold on its own coordinates, and a pair left
+out failed one of them, if only the first, on its quadruple.
 
 Work budgets are mandatory and honest: each operation declares how many states
 its enumeration visits and refuses (BudgetExceeded) rather than silently
@@ -352,11 +355,12 @@ def brute_commuting_count(
 
 # --- p-adic ------------------------------------------------------------------
 
-# Pairs per block of the residue enumeration (at least one row of x):
-# 2^18 pairs make a 512 KB int16 block, whose passes stay in a core's L2
-# cache; 2^23-pair blocks ran 1.7-2x slower.  The survivors' index arrays
-# hold at most one entry per pair of the block.
-_BLOCK_PAIRS = 2**18
+# Cells per tile of the residue enumeration, in both of its stages; the
+# index arrays of a tile's survivors hold at most one entry per cell.  On
+# a 2-vCPU Xeon, brute_padic_solutions(31, 1) took 62-66 ms with tiles of
+# 2^16..2^18 cells and 74 ms with 2^19 or 2^20, while its traced peak
+# doubled with each doubling of the tile: 3.9 MB at 2^17, 7.5 MB at 2^18.
+_BLOCK_PAIRS = 2**17
 
 
 def _valuation_table(p: int, n: int, q: int) -> np.ndarray:
@@ -387,22 +391,56 @@ def _divisible(e: np.ndarray, q: int) -> np.ndarray:
     return d == e
 
 
-def _residue_pairs(x: np.ndarray, y: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) of every pair of residue triples x[:, i] = (x2, x3, x4) and
-    y[:, j] = (y2, y3, y4) whose three cross products x_k*y_l - x_l*y_k
-    vanish mod q.
+def _tiles(rows: int, cols: int):
+    """Row and column slices covering a rows x cols grid, row-major, each
+    tile at most _BLOCK_PAIRS cells: whole rows where one fits, else one
+    row in runs of _BLOCK_PAIRS cells."""
+    width = min(cols, _BLOCK_PAIRS)
+    height = max(1, _BLOCK_PAIRS // width)
+    for r in range(0, rows, height):
+        for c in range(0, cols, width):
+            yield slice(r, r + height), slice(c, c + width)
 
-    The first cross product is tested on every pair, and the later two
-    only on the pairs that pass it."""
-    x2, x3, x4 = x
-    y2, y3, y4 = y
-    e = x2[:, None] * y3
-    e -= x3[:, None] * y2
-    i, j = np.divmod(np.flatnonzero(_divisible(e, q)), y.shape[1])
-    a2, a3, a4 = x2[i], x3[i], x4[i]
-    b2, b3, b4 = y2[j], y3[j], y4[j]
-    ok = _divisible(a2 * b4 - a4 * b2, q) & _divisible(a3 * b4 - a4 * b3, q)
-    return i[ok], j[ok]
+
+def _residue_kernel(r: np.ndarray, q: int):
+    """Every pair of triples x = (x2, x3, x4), y = (y2, y3, y4) over the
+    residue axis r whose three cross products x_k*y_l - x_l*y_k vanish mod
+    q, a tile at a time, as index arrays (i, j): the ids of x and y among
+    the triples over r in lexicographic order, (a2*m + a3)*m + a4 for
+    x = (r[a2], r[a3], r[a4]) and m = len(r).
+
+    Filter first.  The first cross product, x2*y3 - x3*y2, reads only
+    (x2, x3, y2, y3), so it is evaluated once for each of the m^4 such
+    quadruples.  Each quadruple that passes is paired with all m^2 choices
+    of (x4, y4), so each of its pairs is generated explicitly; the second
+    cross product is evaluated on those pairs, and the third on the pairs
+    that pass the second.  Every pair yielded has had all three equations
+    evaluated on its own coordinates, and every pair not yielded failed one
+    of them.
+
+    Both stages are grids over the pair grid `first, second`, whose cell w
+    holds (r[w // m], r[w % m]): (x2, x3) by (y2, y3), then surviving
+    quadruples by (x4, y4), tiled by _tiles.  The products are taken in
+    r's dtype, which must hold q^2 (_residue_dtype)."""
+    m = len(r)
+    first, second = np.repeat(r, m), np.tile(r, m)
+    for xs, ys in _tiles(m * m, m * m):
+        e = first[xs, None] * second[ys]
+        e -= second[xs, None] * first[ys]
+        u, v = np.divmod(np.flatnonzero(_divisible(e, q)), e.shape[1])
+        u += xs.start
+        v += ys.start
+        x2, x3, y2, y3 = first[u], second[u], first[v], second[v]
+        for ss, ws in _tiles(len(u), m * m):
+            e = x2[ss, None] * second[ws]
+            e -= first[ws] * y2[ss, None]
+            s, w = np.divmod(np.flatnonzero(_divisible(e, q)), e.shape[1])
+            s += ss.start
+            w += ws.start
+            ok = _divisible(x3[s] * second[w] - first[w] * y3[s], q)
+            s, w = s[ok], w[ok]
+            a4, b4 = np.divmod(w, m)
+            yield u[s] * m + a4, v[s] * m + b4
 
 
 def _doubly_null(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
@@ -413,9 +451,17 @@ def _doubly_null(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 def _residue_solutions(p: int, n: int, budget: WorkBudget):
     """The residue triples T = [0, q)^3, q = p^n, one column each in
     lexicographic order, and an iterator over the solutions of the three
-    cross-product equations mod q, a block at a time, as index arrays
+    cross-product equations mod q, a tile at a time, as index arrays
     (i, j): x = T[:, i], y = T[:, j].  p and n are checked, and q^6 states
-    charged, before T is built."""
+    charged, before T is built.
+
+    _residue_kernel over the axis [0, q) finds them, filter first: the
+    first cross product once per (x2, x3, y2, y3), the second on every
+    pair of each quadruple that passes, the third on the pairs that pass
+    the second.  Each solution is still tested on all three equations with
+    its own coordinates.  The charge stays q^6, every pair in the domain,
+    though the kernel evaluates q^4 quadruples and q^2 pairs for each one
+    that passes."""
     if not is_prime(p):
         raise NotPrime(f"p={p} is not prime")
     if n < 1:
@@ -427,14 +473,7 @@ def _residue_solutions(p: int, n: int, budget: WorkBudget):
     dtype = _residue_dtype(q)
     budget.require(q**6, "residue-tuple enumeration")
     T = np.indices((q, q, q), dtype=dtype).reshape(3, -1)
-    rows = max(1, _BLOCK_PAIRS // T.shape[1])
-
-    def blocks():
-        for lo in range(0, T.shape[1], rows):
-            i, j = _residue_pairs(T[:, lo : lo + rows], T, q)
-            yield lo + i, j
-
-    return T, blocks()
+    return T, _residue_kernel(np.arange(q, dtype=dtype), q)
 
 
 def brute_padic_solutions(p: int, n: int, budget: WorkBudget | None = None) -> int:

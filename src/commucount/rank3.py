@@ -382,6 +382,14 @@ class RankClassCounts:
 # batched_rank.
 _RANK_ROWS = 65536
 
+# Off-diagonal B per batch of _scalar_histogram.  Its systems are built from
+# whole pairs, about 1.5 KB each in the (k, 6, 4) int64 temporaries of
+# _pair_systems and batched_rank, so 2^12 of them stay near 6 MB.  In
+# _RANK_ROWS batches its traced peak was 22.5 MB at N = 2 (one batch of all
+# 5^6) and 94 MB at N = 3; in these it is 6.0 MB at both, and N = 2 took
+# 28 ms against 52 ms.
+_SCALAR_ROWS = 2**12
+
 # The positions of the off-diagonal entries in a flattened 3x3 matrix.
 _OFF_DIAGONAL = [1, 2, 3, 5, 6, 7]
 
@@ -408,13 +416,13 @@ def _scalar_ids(n: int) -> np.ndarray:
 
 def _scalar_histogram(n: int, a_flat: np.ndarray) -> np.ndarray:
     """The rank histogram of the (2n+1)^6 systems of the scalar A = a_flat
-    with each off-diagonal B, a _RANK_ROWS batch at a time.  B takes A's
+    with each off-diagonal B, a _SCALAR_ROWS batch at a time.  B takes A's
     diagonal, so every pair commutes and its X is 0; each system must still
     satisfy M X = Y before it is ranked."""
     count = (2 * n + 1) ** 6
     hist = np.zeros(5, dtype=np.int64)
-    for s in range(0, count, _RANK_ROWS):
-        off = a_rows(n, np.arange(s, min(s + _RANK_ROWS, count)), 6)
+    for s in range(0, count, _SCALAR_ROWS):
+        off = a_rows(n, np.arange(s, min(s + _SCALAR_ROWS, count)), 6)
         a = np.repeat(a_flat[None, :], len(off), axis=0)
         b = a.copy()
         b[:, _OFF_DIAGONAL] = off

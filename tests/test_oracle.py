@@ -20,7 +20,8 @@ from commucount.oracle import (
     _doubly_null,
     _parallel_over_a,
     _residue_dtype,
-    _residue_pairs,
+    _residue_kernel,
+    _residue_solutions,
     WorkBudget,
     a_rows,
     brute_commuting_count,
@@ -33,6 +34,7 @@ from commucount.oracle import (
 )
 from commucount.count2 import count_commuting_2x2
 from commucount.verify import _padic_gate
+from test_rank3 import traced_peak_mb
 
 
 def box_by_product(n, k):
@@ -531,6 +533,54 @@ def test_residue_oracles_against_six_fold_loops(p, n):
     assert brute_valuation_classes(p, n).classes == classes
 
 
+def _residue_pairs_by_loops(q):
+    """The (i, j) of every solution mod q by a pure-Python six-fold loop,
+    with i and j the lexicographic ids of (x2, x3, x4) and (y2, y3, y4)."""
+    r = range(q)
+    return {
+        ((x2 * q + x3) * q + x4, (y2 * q + y3) * q + y4)
+        for x2, x3, x4, y2, y3, y4 in itertools.product(r, repeat=6)
+        if (x2 * y3 - x3 * y2) % q == 0
+        and (x2 * y4 - x4 * y2) % q == 0
+        and (x3 * y4 - x4 * y3) % q == 0
+    }
+
+
+def _solution_set(p, n):
+    """The oracle's solutions as a set of (i, j), each yielded once."""
+    _, solutions = _residue_solutions(p, n, WorkBudget())
+    pairs = [pair for i, j in solutions for pair in zip(i.tolist(), j.tolist())]
+    assert len(pairs) == len(set(pairs))
+    return set(pairs)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (5, 1)])
+def test_residue_solutions_are_the_pairs_of_a_six_fold_loop(p, n):
+    """The same pairs, not only the same number of them."""
+    assert _solution_set(p, n) == _residue_pairs_by_loops(p**n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 1), (7, 1), (3, 2), (2, 3)])
+def test_residue_counts_hold_with_tiny_tiles(monkeypatch, p, n):
+    """Tiles of 50 cells split both stages into many tiles: at q = 4 and 3
+    several whole rows each, at q = 7 one row each, and at q = 9 and 8 rows
+    of the q^2-wide grids in runs of 50.  A boundary that dropped or
+    repeated a pair would change a count."""
+    monkeypatch.setattr(oracle, "_BLOCK_PAIRS", 50)
+    total, degenerate, classes = PINNED_RESIDUE_COUNTS[p, n]
+    assert brute_padic_solutions(p, n) == total
+    assert brute_degenerate_padic(p, n) == degenerate
+    assert brute_valuation_classes(p, n).classes == dict(enumerate(classes))
+
+
+def test_residue_oracle_at_q31_holds_little_memory():
+    """The survivors of the first cross product are expanded a tile at a
+    time: in one tile per stage, q = 31 took 142 MB, and the kernel that
+    tested every pair 9.0 MB."""
+    brute_padic_solutions(2, 1)
+    assert traced_peak_mb(lambda: brute_padic_solutions(31, 1)) < 12
+
+
 # Recorded from the kernel that tested all three cross products on every
 # pair: (solutions, degenerate solutions, valuation classes) on every modulus
 # of criterion 6's sweep with q^6 <= 10^7.
@@ -571,9 +621,11 @@ def test_residue_kernel_at_the_largest_residues_of_each_dtype(q, doubly_null):
     the extreme residues directly, in the dtype the oracle would pick, and
     compared with Python-int arithmetic: its solutions, and with
     `doubly_null` the subset _doubly_null keeps."""
-    t = tuples_over((0, 1, 2, q - 2, q - 1), 3)
+    residues = (0, 1, 2, q - 2, q - 1)
+    t = tuples_over(residues, 3)
     x = t.astype(_residue_dtype(q))
-    i, j = _residue_pairs(x, x, q)
+    tiles = _residue_kernel(np.array(residues, dtype=x.dtype), q)
+    i, j = map(np.concatenate, zip(*tiles))
     if doubly_null:
         keep = _doubly_null(x[:, i], x[:, j], q)
         i, j = i[keep], j[keep]

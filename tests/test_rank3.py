@@ -338,6 +338,14 @@ def test_classification_at_n1_holds_little_memory():
     assert traced_peak_mb(lambda: classify_commuting_3x3(1, threads=1)) < 8
 
 
+def test_scalar_histogram_at_n2_holds_little_memory():
+    """The 5^6 off-diagonal systems are ranked _SCALAR_ROWS at a time: in
+    one batch they took 22.5 MB."""
+    zero = np.zeros(9, dtype=np.int64)
+    _scalar_histogram(1, zero)
+    assert traced_peak_mb(lambda: _scalar_histogram(2, zero)) < 8
+
+
 @pytest.mark.skipif(
     os.environ.get("COMMUCOUNT_ACCEPT_FULL") != "1",
     reason="set COMMUCOUNT_ACCEPT_FULL=1 for the classification at N = 2",
