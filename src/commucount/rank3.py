@@ -18,26 +18,31 @@ the 4x4 demonstration takes its twelve off-diagonal entries unsigned.
 Partitioning commuting pairs by rank(M) in 0..4 is exact and is where the
 even/odd structure of the counting problem lives.
 
-The classification enumerates one A per orbit of a group of order 96: the
-24 distinct conjugations A -> P A P^-1 by signed permutation matrices P
-(P and -P act alike), each optionally followed by transposition and by
-A -> -A.  Letting the same conjugation and transposition act on B (and
-leaving B alone under negation) maps the box of B onto itself and the B
-commuting with A onto the B commuting with g.A.  rank(M) is kept too: M X
-is the part of AB - BA that depends on the diagonals, the linear map
-(D, E) -> [D, B_o] + [A_o, E] from pairs of diagonal matrices, modulo
-scalars, to off-diagonal matrices, where A_o and B_o are the off-diagonal
-parts.  Conjugation by P carries diagonal and off-diagonal matrices to
-their own kinds and the map for the conjugated pair is the conjugate of
-this one; transposition turns the map into (D, E) -> -(its value)^T; and
-A -> -A turns it into (D, E) -> (its value at (D, -E)).  Each is the map
-composed with invertible maps on both sides, so its rank, and with it the
-histogram of rank(M) over the partners of A, is the same for every A in
-an orbit.  Each classification worker canonicalizes its own range of ids,
-a bounded sub-range at a time.
+M and Y read only off-diagonal entries, so the partners of A and rank(M)
+are the same for every A + tI.  The classification runs over one A per
+such class, the A whose smallest diagonal entry is -n, weighted by the
+2n + 1 - spread matrices A + tI of the box it stands for, and within those
+over one class per orbit of a group of order 96: the 24 distinct
+conjugations A -> P A P^-1 by signed permutation matrices P (P and -P act
+alike), each optionally followed by transposition and by A -> -A, with -A
+shifted by a multiple of I back into the class set.  Letting the same
+conjugation and transposition act on B (and leaving B alone under
+negation) maps the box of B onto itself and the B commuting with A onto
+the B commuting with g.A.  rank(M) is kept too: M X is the part of AB - BA
+that depends on the diagonals, the linear map (D, E) -> [D, B_o] + [A_o, E]
+from pairs of diagonal matrices, modulo scalars, to off-diagonal matrices,
+where A_o and B_o are the off-diagonal parts.  Conjugation by P carries
+diagonal and off-diagonal matrices to their own kinds and the map for the
+conjugated pair is the conjugate of this one; transposition turns the map
+into (D, E) -> -(its value)^T; and A -> -A turns it into (D, E) -> (its
+value at (D, -E)).  Each is the map composed with invertible maps on both
+sides, so its rank, and with it the histogram of rank(M) over the partners
+of A, is the same for every A in an orbit.  Each classification worker
+canonicalizes the classes among its own range of ids, a bounded sub-range
+at a time.
 
-The scalar A = aI never enter the join.  Every B commutes with them, and M
-reads only off-diagonal entries, so their rank histogram is (2n+1)^3, for
+The scalar class -nI never enters the join.  Every B commutes with it, and
+M reads only off-diagonal entries, so its rank histogram is (2n+1)^3, for
 B's diagonals, times the histogram of the (2n+1)^6 off-diagonal B, whose
 systems are built, checked and ranked once.
 """
@@ -300,18 +305,34 @@ def orbit_group() -> tuple[np.ndarray, np.ndarray]:
     return src, sign
 
 
-# Ids per sub-range of the canonicalization: its (rows, 96) int64 image
-# table takes 768 bytes a row, 3 MB at 2^12 rows.
+# The positions of the diagonal and off-diagonal entries in a flattened 3x3
+# matrix.
+_DIAGONAL = [0, 4, 8]
+_OFF_DIAGONAL = [1, 2, 3, 5, 6, 7]
+
+# Ids per sub-range of the canonicalization: its image table of the classes
+# among them takes at most 768 bytes a row, 3 MB at 2^12 rows.
 _CANON_ROWS = 2**12
 
 
-def _orbit_images(n: int, lo: int, hi: int) -> np.ndarray:
-    """id(g.A) for the A with lexicographic ids lo..hi-1 (rows) and every
-    g of orbit_group() (columns).  id(g.A) is linear in A, so the first 48
-    columns are one (48, 9) @ (9, rows) int64 product; map g + 48 negates
-    map g, and id(-A) = (2n+1)^9 - 1 - id(A), as every digit t of id(A)
-    becomes 2n - t.  The array is column-major: each map's images are
-    contiguous."""
+def _class_rows(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids among lo..hi-1 of the A whose smallest diagonal entry is -n,
+    one per class A + tI of the box, and their flattened rows."""
+    ids = np.arange(lo, hi)
+    a = a_rows(n, ids)
+    keep = a[:, _DIAGONAL].min(axis=1) == -n
+    return ids[keep], a[keep]
+
+
+def _orbit_images(n: int, a: np.ndarray) -> np.ndarray:
+    """id(g.A) for the class rows a (rows) and every g of orbit_group()
+    (columns), each image shifted by a multiple of I back into the class
+    set.  id(g.A) is linear in A, so the first 48 columns are one (48, 9) @
+    (9, rows) int64 product; they only permute the diagonal, so they need
+    no shift.  Map g + 48 negates map g, and id(-A) = (2n+1)^9 - 1 - id(A),
+    as every digit t of id(A) becomes 2n - t; -A has smallest diagonal
+    entry -max diag A, so (max diag A - n) I brings it back.  The array is
+    column-major: each map's images are contiguous."""
     src, sign = orbit_group()
     half = len(src) // 2
     if not (np.array_equal(src[half:], src[:half]) and np.array_equal(sign[half:], -sign[:half])):
@@ -319,49 +340,65 @@ def _orbit_images(n: int, lo: int, hi: int) -> np.ndarray:
     place = (2 * n + 1) ** np.arange(8, -1, -1, dtype=np.int64)
     weights = np.zeros((half, 9), dtype=np.int64)
     weights[np.arange(half)[:, None], src[:half]] = sign[:half] * place
-    images = np.empty((2 * half, hi - lo), dtype=np.int64)
-    np.matmul(weights, a_rows(n, np.arange(lo, hi)).T, out=images[:half])
+    images = np.empty((2 * half, len(a)), dtype=np.int64)
+    np.matmul(weights, a.T, out=images[:half])
     images[:half] += n * int(place.sum())
     np.subtract((2 * n + 1) ** 9 - 1, images[:half], out=images[half:])
+    images[half:] += (a[:, _DIAGONAL].max(axis=1) - n) * int(place[_DIAGONAL].sum())
     return images.T
 
 
 def orbit_count(n: int) -> int:
-    """The number of orbits of the box under orbit_group() by Burnside's
-    lemma: the mean over g of (2n+1)^(9 - rank(P_g - I)), the number of A
-    fixed by g, which acts on A as the 9x9 signed permutation P_g."""
+    """The number of orbits of the classes under orbit_group() by
+    Burnside's lemma: the mean over g of the classes g fixes.  g keeps the
+    diagonal and the off-diagonal entries apart, so a class it fixes is one
+    of the (2n+1)^(6 - rank(Q_g - I)) off-diagonal parts fixed by Q_g, the
+    6x6 signed permutation g makes of them, with one of the diagonal
+    triples of minimum -n that g fixes, after the shift when g negates."""
     src, sign = orbit_group()
+    if not np.isin(src[:, _DIAGONAL], _DIAGONAL).all():
+        raise InvariantViolation("the orbit group mixes diagonal and off-diagonal entries")
     p = sign[:, :, None] * np.eye(9, dtype=np.int64)[src]
-    ranks = batched_rank(p - np.eye(9, dtype=np.int64))
-    return sum((2 * n + 1) ** (9 - int(r)) for r in ranks) // len(src)
+    ranks = batched_rank(p[:, _OFF_DIAGONAL][:, :, _OFF_DIAGONAL] - np.eye(6, dtype=np.int64))
+    side = 2 * n + 1
+    triples = a_rows(n, np.arange(side**3), 3)
+    triples = triples[triples.min(axis=1) == -n]
+    # Diagonal positions 0, 4, 8 are entries 0, 1, 2 of a triple.
+    images = sign[:, None, _DIAGONAL] * triples[:, src[:, _DIAGONAL] // 4].transpose(1, 0, 2)
+    negated = np.arange(len(src)) >= len(src) // 2
+    images[negated] += (triples.max(axis=1) - n)[:, None]
+    fixed = (images == triples).all(axis=2).sum(axis=1)
+    return sum(int(f) * side ** (6 - int(r)) for f, r in zip(fixed, ranks)) // len(src)
 
 
-def _canonical_in(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_in(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
     """orbit_representatives over one sub-range, from one image table; a
     function of its own, so that each table is freed before the next one
     is built."""
-    images = _orbit_images(n, lo, hi)
-    own = np.arange(lo, hi)
+    own, a = _class_rows(n, lo, hi)
+    images = _orbit_images(n, a)
     mine = images.min(axis=1) == own
     orbits = np.sort(images[mine], axis=1)
     distinct = 1 + (orbits[:, 1:] != orbits[:, :-1]).sum(axis=1)
     if (distinct * (orbits == own[mine, None]).sum(axis=1) != images.shape[1]).any():
         raise InvariantViolation("3x3 orbit sizes disagree with orbit-stabilizer")
-    return own[mine], distinct
+    return own[mine], distinct, len(own)
 
 
-def orbit_representatives(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical A among the ids lo..hi-1, the A that are their own
-    smallest image under orbit_group(), and their orbit sizes, the number
-    of distinct images.  InvariantViolation unless each size times the
-    number of g that fix A is the group order (orbit-stabilizer).  The
-    images are computed over sub-ranges of at most _CANON_ROWS ids, so one
-    image table at a time is held however wide the range."""
+def orbit_representatives(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The canonical classes among the ids lo..hi-1: the A whose smallest
+    diagonal entry is -n and which are their own smallest image under
+    orbit_group(), their orbit sizes, the number of distinct images, and
+    the number of classes canonicalized.  InvariantViolation unless each
+    size times the number of g that fix A is the group order
+    (orbit-stabilizer).  The images are computed over sub-ranges of at
+    most _CANON_ROWS ids, so one image table at a time is held however
+    wide the range."""
     empty = np.zeros(0, dtype=np.int64)
-    reps, sizes = zip((empty, empty), *(
+    reps, sizes, admitted = zip((empty, empty, 0), *(
         _canonical_in(n, s, min(s + _CANON_ROWS, hi)) for s in range(lo, hi, _CANON_ROWS)
     ))
-    return np.concatenate(reps), np.concatenate(sizes)
+    return np.concatenate(reps), np.concatenate(sizes), sum(admitted)
 
 
 # --- rank classification over the whole box --------------------------------
@@ -390,10 +427,6 @@ _RANK_ROWS = 65536
 # 28 ms against 52 ms.
 _SCALAR_ROWS = 2**12
 
-# The positions of the off-diagonal entries in a flattened 3x3 matrix.
-_OFF_DIAGONAL = [1, 2, 3, 5, 6, 7]
-
-
 def _b_rows(mim: MeetInMiddle3, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
     """The flattened B = (h1[i1], h2[i2]) of the join's index pairs."""
     return np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1)
@@ -405,13 +438,6 @@ def _require_solved(m: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         raise InvariantViolation(
             "a commuting pair violated M X = Y; the system rows disagree with the commutator"
         )
-
-
-def _scalar_ids(n: int) -> np.ndarray:
-    """The ids of the scalar matrices aI, a in [-n, n]: every digit is n,
-    plus a on the diagonal."""
-    place = (2 * n + 1) ** np.arange(8, -1, -1, dtype=np.int64)
-    return n * place.sum() + np.arange(-n, n + 1) * place[[0, 4, 8]].sum()
 
 
 def _scalar_histogram(n: int, a_flat: np.ndarray) -> np.ndarray:
@@ -433,33 +459,39 @@ def _scalar_histogram(n: int, a_flat: np.ndarray) -> np.ndarray:
 
 
 def _classify_range(n: int, lo: int, hi: int) -> np.ndarray:
-    """Rank classes of the pairs of the canonical A among ids lo..hi-1, each
-    pair weighted by its A's orbit size, then the number of those A, the
-    sum of their orbit sizes and the sum of the scalar A's orbit sizes.
+    """Rank classes of the pairs of the canonical classes among ids
+    lo..hi-1, each pair weighted by its class's orbit size times its
+    weight 2n + 1 - spread, the number of A + tI in the box, then the
+    number of those classes, the number of classes canonicalized, the sum
+    of their orbit sizes and the sum of orbit size times weight.
 
-    The scalar A = aI stay out of the join.  Every B commutes with them and
-    M and Y read only the off-diagonal entries of A and B, so their pairs'
-    classes are (2n+1)^3, for B's diagonals, times the rank histogram of
-    the off-diagonal B (_scalar_histogram), times their orbit sizes.
+    Both the partners of A and rank(M) are the same for every A + tI, as M
+    and Y read only off-diagonal entries.  The scalar class -nI, of weight
+    2n + 1 and with every off-diagonal entry 0, stays out of the join:
+    every B commutes with it, so its pairs' classes are (2n+1)^3, for B's
+    diagonals, times the rank histogram of the off-diagonal B
+    (_scalar_histogram).
 
-    The other canonical A are joined max_rows at a time.  B's off-diagonal
-    entries are digits 1..3 of i1 and 0..2 of i2 in base 2n+1, so M and Y
-    are built once for each distinct (row, off-diagonal B) of a block, its
-    class.  Every pair's X, from the diagonals, is checked against M X = Y
-    of its class, and each class is ranked once and its rank given to all
-    its pairs."""
+    The other canonical classes are joined max_rows at a time.  B's
+    off-diagonal entries are digits 1..3 of i1 and 0..2 of i2 in base
+    2n+1, so M and Y are built once for each distinct (row, off-diagonal
+    B) of a block, its system.  Every pair's X, from the diagonals, is
+    checked against M X = Y of its system, and each system is ranked once
+    and its rank given to all its pairs."""
     mim = MeetInMiddle3(n)
     cube = mim.side**3
-    reps, sizes = orbit_representatives(n, lo, hi)
-    scalar = np.isin(reps, _scalar_ids(n))
-    counts = np.zeros(8, dtype=np.int64)
-    counts[5:] = len(reps), sizes.sum(), sizes[scalar].sum()
+    reps, sizes, admitted = orbit_representatives(n, lo, hi)
+    a = a_rows(n, reps)
+    weighted = sizes * (n + 1 - a[:, _DIAGONAL].max(axis=1))
+    scalar = (a == -n * np.eye(3, dtype=np.int64).ravel()).all(axis=1)
+    counts = np.zeros(9, dtype=np.int64)
+    counts[5:] = len(reps), admitted, sizes.sum(), weighted.sum()
     if scalar.any():
-        counts[:5] = counts[7] * cube * _scalar_histogram(n, a_rows(n, reps[scalar][:1])[0])
-    reps, sizes = reps[~scalar], sizes[~scalar]
-    for block in range(0, len(reps), mim.max_rows):
+        counts[:5] = weighted[scalar].sum() * cube * _scalar_histogram(n, a[scalar][0])
+    a, weighted = a[~scalar], weighted[~scalar]
+    for block in range(0, len(a), mim.max_rows):
         stop = block + mim.max_rows
-        a_block = a_rows(n, reps[block:stop])
+        a_block = a[block:stop]
         row, i1, i2 = mim.partner_pairs(a_block)
         key = (row * cube + i1 // mim.side % cube) * cube + i2 // mim.side
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -476,7 +508,7 @@ def _classify_range(n: int, lo: int, hi: int) -> np.ndarray:
             batched_rank(m[s : s + _RANK_ROWS]) for s in range(0, len(m), _RANK_ROWS)
         ])
         hist = np.bincount(5 * row + ranks[inverse], minlength=5 * len(a_block))
-        counts[:5] += sizes[block:stop] @ hist.reshape(-1, 5)
+        counts[:5] += weighted[block:stop] @ hist.reshape(-1, 5)
     return counts
 
 
@@ -487,17 +519,22 @@ def classify_commuting_3x3(
 ) -> RankClassCounts:
     """Partition every commuting 3x3 pair in the box by the rank of its M.
 
-    The group of orbit_group() maps the box of B onto itself and keeps
-    both the set of B commuting with A and rank(M), so each worker
-    enumerates the canonical A among its ids, weighting their pairs by
-    orbit size; the canonical A must number orbit_count(n), with sizes
-    summing to (2n+1)^9, and the n + 1 scalar ones, whose classes come from
-    the off-diagonal B alone rather than from the join, must have sizes
-    summing to 2n + 1.  Every pair must satisfy M X = Y before its system
-    is ranked exactly.  The classes sum to the oracle's count; rank 0 is
-    exactly the (2n+1)^6 both-diagonal pairs.
+    The partners of A and rank(M) depend on A only modulo scalars, so the
+    classification runs over one A per class A + tI, the A whose smallest
+    diagonal entry is -n, (2n+1)^9 - (2n)^3 (2n+1)^6 of them; a class of
+    diagonal spread max - min stands for 2n + 1 - spread matrices of the
+    box.  The group of orbit_group(), with the shift back into the class
+    set after a negation, maps the box of B onto itself and keeps both the
+    set of B commuting with A and rank(M), so each worker enumerates the
+    canonical classes among its ids, weighting their pairs by orbit size
+    times weight.  The canonical classes must number orbit_count(n), every
+    class must be canonicalized once, their orbit sizes must sum to the
+    number of classes, and size times weight to (2n+1)^9.  Every pair must
+    satisfy M X = Y before its system is ranked exactly.  The classes sum
+    to the oracle's count; rank 0 is exactly the (2n+1)^6 both-diagonal
+    pairs.
 
-    Before any work the budget is charged, in one sum, 96 (2n+1)^9 states
+    Before any work the budget is charged, in one sum, 96 states per class
     for the canonicalization and (2n+1)^5 + (2n+1)^4 per orbit for the
     joins.  An n past the oracle's key packing (n >= 5) is refused before
     that.
@@ -505,16 +542,20 @@ def classify_commuting_3x3(
     MeetInMiddle3.key_base(n)
     budget = budget or WorkBudget()
     side = 2 * n + 1
+    classes = side**9 - (side - 1) ** 3 * side**6
     orbits = orbit_count(n)
     budget.require(
-        len(orbit_group()[0]) * side**9 + orbits * (side**5 + side**4),
+        len(orbit_group()[0]) * classes + orbits * (side**5 + side**4),
         "3x3 orbit canonicalization and rank classification",
     )
-    *counts, found, total, scalar_total = _parallel_over_a(_classify_range, n, threads)
-    if found != orbits or total != side**9:
+    *counts, found, admitted, total, weighted = _parallel_over_a(_classify_range, n, threads)
+    if found != orbits:
         raise InvariantViolation("the canonical 3x3 A disagree with Burnside's orbit count")
-    if scalar_total != side:
-        raise InvariantViolation(f"the scalar 3x3 orbit sizes sum to {scalar_total}, not {side}")
+    if (admitted, total, weighted) != (classes, classes, side**9):
+        raise InvariantViolation(
+            f"{admitted} 3x3 classes canonicalized, orbit sizes summing to {total} and "
+            f"weighted to {weighted}; want {classes}, {classes} and {side**9}"
+        )
     return RankClassCounts(n=n, s=tuple(int(c) for c in counts))
 
 

@@ -232,7 +232,7 @@ def criterion_classification(
 ) -> CriterionResult:
     """Rank classes partition the 3x3 commuting pairs: totals equal the
     oracle count, the rank-0 class is exactly the diagonal pairs, and every
-    joined pair, and every off-diagonal system of the scalar A, passes the
+    joined pair, and every off-diagonal system of the scalar class, passes the
     M X = Y check while being classified."""
     ok = True
     details: dict = {"classes": {}}

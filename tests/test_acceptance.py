@@ -7,8 +7,8 @@ Runtime is dominated by the p-adic oracle sweep (criterion 6, every modulus
 with p^6n <= 10^9, 4.7-4.8 s) and the size-500 progression correlations
 (criterion 11, 2.1-2.6 s); the whole battery took 9.7 s on one core of a
 2-vCPU Xeon.  Criterion 9 repeats the 3x3 classification at N = 2 only when
-COMMUCOUNT_ACCEPT_FULL=1 is set: that point classifies 22369 orbit
-representatives (12 s on one core) and checks their total against the
+COMMUCOUNT_ACCEPT_FULL=1 is set: that point classifies 10803 orbits of
+classes A + tI (about 2 s on one core) and checks their total against the
 oracle, which enumerates 5^9 * (5^5 + 5^4) ~ 7.3e9 states (190 s on one
 core; the whole test took 65-112 s with two workers on the same machine).
 """

@@ -410,12 +410,12 @@ def test_count3_past_the_key_packing_exits_2_promptly():
     assert proc.stderr.splitlines() == ["error: n=5 overflows the int64 key packing"]
 
 
-def test_count3_classify_at_n3_exits_3_promptly():
+def test_count3_classify_at_n4_exits_3_promptly():
     """Under the default budget the two charges of the classification at
-    n = 3 are refused together, before any id is canonicalized."""
-    proc = run_cli_process("count3", "--n", "3", "--classify")
+    n = 4 are refused together, before any id is canonicalized."""
+    proc = run_cli_process("count3", "--n", "4", "--classify")
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "needs 12220283264 states, over the budget of 10000000000" in proc.stderr
+    assert "needs 90913428162 states, over the budget of 10000000000" in proc.stderr
 
 
 def test_budget_refusal_exits_3(capsys):

@@ -216,16 +216,16 @@ def test_pair_systems_ignore_the_diagonals():
 
 
 def test_ranking_the_distinct_systems_gives_every_pairs_rank():
-    """At N = 1, the ranks of all 47012 pairs of the orbit representatives
+    """At N = 1, the ranks of all 24274 pairs of the class representatives
     equal the ranks of their distinct (off-diagonal A, off-diagonal B)
-    systems scattered back, and both give the classification's weighted
-    histogram."""
+    systems scattered back, and both give the classification's histogram,
+    weighted by orbit size times 2N + 1 - spread."""
     mim = MeetInMiddle3(1)
-    reps, sizes = orbit_representatives(1, 0, 3**9)
+    reps, sizes, _ = orbit_representatives(1, 0, 3**9)
     a = a_rows(1, reps)
     assert len(a) <= mim.max_rows
     row, i1, i2 = mim.partner_pairs(a)
-    assert len(row) == 47012
+    assert len(row) == 24274
     m = _pair_systems(a[row], np.concatenate([mim.h1[i1], mim.h2[i2]], axis=1))[0]
     ranks = batched_rank(m)
     off = [1, 2, 3, 5, 6, 7]
@@ -233,7 +233,8 @@ def test_ranking_the_distinct_systems_gives_every_pairs_rank():
     _, first, inverse = np.unique(pairs_off, axis=0, return_index=True, return_inverse=True)
     assert len(first) < len(row) // 10
     assert np.array_equal(batched_rank(m[first])[inverse.ravel()], ranks)
-    hist = sizes @ np.bincount(5 * row + ranks, minlength=5 * len(a)).reshape(-1, 5)
+    weights = 2 - a[:, [0, 4, 8]].max(axis=1)
+    hist = (sizes * weights) @ np.bincount(5 * row + ranks, minlength=5 * len(a)).reshape(-1, 5)
     assert tuple(hist.tolist()) == classify_commuting_3x3(1).s
 
 
@@ -332,8 +333,8 @@ def traced_peak_mb(run) -> float:
 
 def test_classification_at_n1_holds_little_memory():
     """One image table of at most _CANON_ROWS ids and one join block at a
-    time, with the scalar A out of the join: a table of all 3^9 ids would
-    take 15 MB."""
+    time, with the scalar class out of the join: a table of all 3^9 ids
+    would take 15 MB."""
     classify_commuting_3x3(0, threads=1)
     assert traced_peak_mb(lambda: classify_commuting_3x3(1, threads=1)) < 8
 
@@ -351,11 +352,26 @@ def test_scalar_histogram_at_n2_holds_little_memory():
     reason="set COMMUCOUNT_ACCEPT_FULL=1 for the classification at N = 2",
 )
 def test_classification_at_n2_holds_little_memory():
-    """At N = 2 the scalar A would bring 5^9 pairs each into the join; out
-    of it, their 5^6 off-diagonal systems and the join's blocks are the
+    """At N = 2 the scalar class would bring 5^9 pairs into the join; out
+    of it, its 5^6 off-diagonal systems and the join's blocks are the
     largest arrays."""
     classify_commuting_3x3(0, threads=1)
     assert traced_peak_mb(lambda: classify_commuting_3x3(2, threads=1)) < 48
+
+
+@pytest.mark.skipif(
+    os.environ.get("COMMUCOUNT_ACCEPT_FULL") != "1",
+    reason="set COMMUCOUNT_ACCEPT_FULL=1 for the classification at N = 3",
+)
+def test_classification_at_n3_is_pinned():
+    """A single-route value: no oracle reaches N = 3, so it is pinned, not
+    verified.  It runs under the default budget, rank 0 is the 7^6
+    both-diagonal pairs, and the total stays above the certificate."""
+    rc = classify_commuting_3x3(3)
+    assert rc.s == (117649, 9741984, 864661632, 165554592, 134085984)
+    assert rc.s[0] == 7**6
+    assert rc.total() == 1174161841
+    assert lower_bound_certificate(3, 3) <= rc.total()
 
 
 def test_classification_is_the_same_for_any_worker_count():
@@ -378,7 +394,7 @@ def test_classification_refuses_n5_before_canonicalizing(monkeypatch, time_limit
     the 11^9 ids are canonicalized, whatever the budget."""
     import commucount.rank3 as rank3
 
-    def started(n, lo, hi):
+    def started(n, a):
         raise AssertionError("canonicalization started")
 
     monkeypatch.setattr(rank3, "_orbit_images", started)
@@ -386,46 +402,50 @@ def test_classification_refuses_n5_before_canonicalizing(monkeypatch, time_limit
         classify_commuting_3x3(5, WorkBudget(10**12))
 
 
-# The charge of the classification at n = 3: 96 * 7^9 ~ 3.9e9 states for
-# the canonicalization plus 434524 * (7^5 + 7^4) ~ 8.3e9 for the joins.
-N3_CHARGE = 96 * 7**9 + 434524 * (7**5 + 7**4)
+# The charge of the classification at n = 3: 96 states for each of the
+# 7^9 - 6^3 * 7^6 classes, 1.43e9 for the canonicalization, plus
+# 160176 * (7^5 + 7^4) ~ 3.08e9 for the joins.
+N3_CANON = 96 * (7**9 - 6**3 * 7**6)
+N3_JOINS = 160176 * (7**5 + 7**4)
 
 
 def test_classification_refuses_the_join_before_canonicalizing(monkeypatch, time_limit):
-    """At n = 3 the canonicalization's 3.9e9 states alone would fit a
-    budget of 5e9; the orbit count is known up front, so the charge is the
-    sum of both phases and the refusal comes before any id is
-    canonicalized."""
+    """At n = 3 each phase alone would fit a budget of 4e9; the orbit count
+    is known up front, so the charge is the sum of both phases and the
+    refusal comes before any id is canonicalized."""
     import commucount.rank3 as rank3
 
-    def started(n, lo, hi):
+    def started(n, a):
         raise AssertionError("canonicalization started")
 
     monkeypatch.setattr(rank3, "_orbit_images", started)
+    assert (N3_CANON, N3_JOINS) == (1434376608, 3076660608)
+    assert max(N3_CANON, N3_JOINS) < 4 * 10**9 < N3_CANON + N3_JOINS
     with time_limit(10), pytest.raises(BudgetExceeded) as refused:
-        classify_commuting_3x3(3, WorkBudget(5 * 10**9))
-    assert refused.value.states == N3_CHARGE
+        classify_commuting_3x3(3, WorkBudget(4 * 10**9))
+    assert refused.value.states == N3_CANON + N3_JOINS == 4511037216
 
 
-def test_classification_at_n3_is_refused_by_the_default_budget(monkeypatch, time_limit):
-    """Each phase at n = 3 fits the default budget of 1e10 on its own, but
-    their sum of 1.22e10 does not."""
+def test_classification_at_n4_is_refused_by_the_default_budget(monkeypatch, time_limit):
+    """At n = 4 the 9^9 - 8^3 * 9^6 classes and their 1216925 orbits need
+    9.09e10 states, over the default budget of 1e10."""
     import commucount.rank3 as rank3
 
-    def started(n, lo, hi):
+    def started(n, a):
         raise AssertionError("canonicalization started")
 
     monkeypatch.setattr(rank3, "_orbit_images", started)
-    assert 96 * 7**9 < DEFAULT_MAX_STATES and 434524 * (7**5 + 7**4) < DEFAULT_MAX_STATES
+    charge = 96 * (9**9 - 8**3 * 9**6) + 1216925 * (9**5 + 9**4)
     with time_limit(10), pytest.raises(BudgetExceeded) as refused:
-        classify_commuting_3x3(3)
-    assert (refused.value.states, refused.value.max_states) == (N3_CHARGE, DEFAULT_MAX_STATES)
+        classify_commuting_3x3(4)
+    assert (refused.value.states, refused.value.max_states) == (charge, DEFAULT_MAX_STATES)
+    assert charge == 90913428162
 
 
 def test_classification_charge_covers_the_states_visited(monkeypatch):
     """The budget is charged, before each phase, at least the states the
-    phase visits: the 96 images of every A, then both half tabulations of
-    every canonical A; the 3x3 and the 2x2 oracle are charged
+    phase visits: the 96 images of every class, then both half tabulations
+    of every canonical class; the 3x3 and the 2x2 oracle are charged
     join_states(n, d)."""
     import commucount.rank3 as rank3
 
@@ -438,8 +458,8 @@ def test_classification_charge_covers_the_states_visited(monkeypatch):
         charged.append(states)
         real_require(self, states, what)
 
-    def images(n, lo, hi):
-        out = real_images(n, lo, hi)
+    def images(n, a):
+        out = real_images(n, a)
         visited.append(out.size)
         return out
 
@@ -519,33 +539,42 @@ def test_group_keeps_counts_and_rank_histograms():
             assert rank_histogram(mim, b_flat) == hist
 
 
+def shifted(g, a_flat, n):
+    """act(g, a_flat), then shifted by a multiple of I so that its smallest
+    diagonal entry is -n: the class of g.A."""
+    image = act(g, a_flat)
+    return image - (image[[0, 4, 8]].min() + n) * np.eye(3, dtype=np.int64).ravel()
+
+
 def test_orbit_representatives_at_n1():
-    reps, sizes = orbit_representatives(1, 0, 3**9)
-    assert len(reps) == 322
-    assert int(sizes.sum()) == 3**9
+    reps, sizes, admitted = orbit_representatives(1, 0, 3**9)
+    assert len(reps) == 220
+    assert int(sizes.sum()) == admitted == 3**9 - 2**3 * 3**6 == 13851
     assert orbit_representatives(0, 0, 1)[0].tolist() == [0]
     # each representative is the smallest id of its orbit, and its orbit
     # size is the number of distinct images, computed entry by entry
     place = 3 ** np.arange(8, -1, -1)
     grid = a_rows(1, np.arange(3**9))
-    for rep, size in zip(reps[::9], sizes[::9]):
-        ids = {int((act(g, grid[rep]) + 1) @ place) for g in range(96)}
+    for rep, size in zip(reps[::5], sizes[::5]):
+        assert grid[rep][[0, 4, 8]].min() == -1
+        ids = {int((shifted(g, grid[rep], 1) + 1) @ place) for g in range(96)}
         assert min(ids) == rep
         assert len(ids) == size
 
 
 def test_orbit_representatives_of_a_split_are_those_of_the_whole():
-    reps, sizes = orbit_representatives(1, 0, 3**9)
+    reps, sizes, admitted = orbit_representatives(1, 0, 3**9)
     cuts = [0, 1, 1000, 1001, 7777, 3**9 - 2, 3**9]
     parts = [orbit_representatives(1, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     assert np.array_equal(np.concatenate([p[0] for p in parts]), reps)
     assert np.array_equal(np.concatenate([p[1] for p in parts]), sizes)
+    assert sum(p[2] for p in parts) == admitted
 
 
 def test_orbit_count_is_the_number_of_canonical_a():
     from commucount.rank3 import _CANON_ROWS
 
-    assert [orbit_count(n) for n in range(4)] == [1, 322, 22369, 434524]
+    assert [orbit_count(n) for n in range(4)] == [1, 220, 10803, 160176]
     for n in range(3):
         n_a = (2 * n + 1) ** 9
         found = sum(
@@ -553,6 +582,19 @@ def test_orbit_count_is_the_number_of_canonical_a():
             for lo in range(0, n_a, _CANON_ROWS)
         )
         assert orbit_count(n) == found
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_orbit_sizes_times_weights_cover_the_box(n):
+    """Each canonical class stands for its orbit size times 2n + 1 - spread
+    matrices of the box, and together they cover it."""
+    side = 2 * n + 1
+    reps, sizes, admitted = orbit_representatives(n, 0, side**9)
+    diagonal = a_rows(n, reps)[:, [0, 4, 8]]
+    assert (diagonal.min(axis=1) == -n).all()
+    weights = side - (diagonal.max(axis=1) - diagonal.min(axis=1))
+    assert int(sizes.sum()) == admitted == side**9 - (side - 1) ** 3 * side**6
+    assert int(sizes @ weights) == side**9
 
 
 def test_orbit_representatives_reject_a_broken_group(monkeypatch):
@@ -580,8 +622,8 @@ def test_classification_rejects_corrupted_orbit_images(monkeypatch, corrupt):
 
     real_images = rank3._orbit_images
 
-    def images(n, lo, hi):
-        out = real_images(n, lo, hi)
+    def images(n, a):
+        out = real_images(n, a)
         corrupt(out)
         return out
 
@@ -590,20 +632,58 @@ def test_classification_rejects_corrupted_orbit_images(monkeypatch, corrupt):
         classify_commuting_3x3(1, threads=1)
 
 
-def drop_an_orbit(reps, sizes):
+def test_classification_rejects_negated_images_left_unshifted(monkeypatch):
+    """Without the (max diag A - n) I that brings -g.A back into the class
+    set, the negated images leave it, and the canonicalization's checks
+    refuse the result."""
+    import commucount.rank3 as rank3
+
+    real_images = rank3._orbit_images
+
+    def images(n, a):
+        out = real_images(n, a)
+        place = (2 * n + 1) ** np.arange(8, -1, -1)
+        out[:, 48:] -= ((a[:, [0, 4, 8]].max(axis=1) - n) * place[[0, 4, 8]].sum())[:, None]
+        return out
+
+    monkeypatch.setattr(rank3, "_orbit_images", images)
+    with pytest.raises(InvariantViolation):
+        classify_commuting_3x3(1, threads=1)
+
+
+def test_classification_rejects_an_a_outside_the_class_set(monkeypatch):
+    """Admitting one A whose smallest diagonal entry is above -n, here the
+    zero matrix, canonicalizes one class too many."""
+    import commucount.rank3 as rank3
+
+    real_rows = rank3._class_rows
+    zero_id = (3**9 - 1) // 2
+
+    def rows(n, lo, hi):
+        ids, a = real_rows(n, lo, hi)
+        if lo <= zero_id < hi:
+            ids, a = np.append(ids, zero_id), np.vstack([a, np.zeros(9, dtype=np.int64)])
+        return ids, a
+
+    monkeypatch.setattr(rank3, "_class_rows", rows)
+    with pytest.raises(InvariantViolation):
+        classify_commuting_3x3(1, threads=1)
+
+
+def drop_an_orbit(reps, sizes, admitted):
     """One canonical A fewer, its size moved to the next, so the sizes still
-    sum to (2n+1)^9."""
-    return reps[1:], sizes[1:] + (np.arange(len(sizes) - 1) == 0) * sizes[0]
+    sum to the number of classes."""
+    return reps[1:], sizes[1:] + (np.arange(len(sizes) - 1) == 0) * sizes[0], admitted
 
 
-def miscount_an_orbit(reps, sizes):
-    return reps, sizes + (np.arange(len(sizes)) == 0)
+def miscount_an_orbit(reps, sizes, admitted):
+    return reps, sizes + (np.arange(len(sizes)) == 0), admitted
 
 
 @pytest.mark.parametrize("corrupt", [drop_an_orbit, miscount_an_orbit])
 def test_classification_checks_the_orbits_the_workers_found(monkeypatch, corrupt):
-    """The workers' canonical A must number orbit_count(n) and their sizes
-    sum to (2n+1)^9."""
+    """The workers' canonical classes must number orbit_count(n) and their
+    sizes sum to the number of classes."""
     import commucount.rank3 as rank3
 
     real_representatives = rank3.orbit_representatives
