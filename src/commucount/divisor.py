@@ -14,14 +14,18 @@ span is small next to the number of distinct products, else one sort of the
 pairwise product differences.  The sort keys are the exact differences
 while the span fits int64, packed with their weight products into one
 sorted int64 array where both fit, and residues mod a prime past it, where
-pairs that share a residue are compared exactly.  No floating point
-anywhere; every route checks the centre and mass identities, and the test
-suite checks each against a naive double loop.
+pairs that share a residue are compared exactly.  The sort streams its
+group sums a chunk of whole groups at a time, and lemma61_check reads only
+a summary of the correlation (r(0), its sup, its third power sum and its
+mass), so the sort keys are the one array over every pair.  No floating
+point anywhere; every route checks the centre and mass identities, and the
+test suite checks each against a naive double loop.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -41,19 +45,24 @@ SetLike = Union["FiniteRealSet", Iterable[Union[int, Fraction]]]
 
 # --- the exact correlation primitive ------------------------------------------
 
-# The dense transform costs about 0.6 us per unit of product span, the
-# packed sort about 35 ns per pair of distinct products (s^2 / 2 pairs of
-# s values).  Every input the transform may take also packs (a span of at
-# most _MAX_DENSE_SPAN < 2^21, and weights below 2|A| <= 1000 give products
-# of at most 20 bits), so the packed sort is its only rival: the transform
-# wins when span < about 0.025 s^2 (14 sets of 20 to 80 elements, spans 7e3
-# to 1e6, 2 vCPU, numpy 2.4.6: 2.5-3.4x faster at 0.014 s^2, 2.2x slower
-# at 0.067 s^2).
+# The dense transform costs about 0.3-0.6 us per unit of product span,
+# the streamed packed sort about 20 ns per pair of distinct products
+# (s^2 / 2 pairs of s values).  Every input the transform may take also
+# packs (a span of at most _MAX_DENSE_SPAN < 2^21, and weights below
+# 2|A| <= 1000 give products of at most 20 bits), so the packed sort is
+# its only rival: the transform wins when span < about 0.025 s^2 for s
+# near 770, and below about 0.019 s^2 for s near 3150 (seeded sets of 40
+# and 80 elements, spans 9e3 to 3e5, 2 vCPU, numpy 2.4.6; s near 770:
+# 1.2-2.2x faster at 0.016-0.025 s^2, even at 0.027 s^2, 1.03-1.8x slower
+# at 0.031-0.033 s^2; s near 3150: even at 0.018 s^2, 1.1-1.2x slower at
+# 0.020-0.024 s^2, 1.6x slower at 0.031 s^2).
 _DENSE_SPAN_PER_PAIR = 0.025
 # Memory caps: the transform holds about 100 bytes per unit of its width
-# hi - lo (2N^2 for r_table, so N <= 1000); at its peak the argsort holds
-# six int64 arrays over its pairs, the packed sort three (mostly distinct
-# differences, traced with tracemalloc).
+# hi - lo (2N^2 for r_table, so N <= 1000).  At its peak the packed sort
+# holds one int64 array over its pairs, the packed keys; the argsort and
+# the residues hold three, the keys, the weight products and the order.
+# Both add temporaries of a chunk of _CHUNK_PAIRS pairs (1.2 and 3.3 int64
+# a pair over 1.27M mostly distinct differences, traced with tracemalloc).
 _MAX_DENSE_SPAN = 2_000_000
 _MAX_SORT_PAIRS = 12_500_000
 # Fingerprint modulus for differences past int64: a prime below 2^61, so
@@ -61,21 +70,27 @@ _MAX_SORT_PAIRS = 12_500_000
 # there 2^61 = 1, and the differences of a set of powers of two collide by
 # construction.
 _FINGERPRINT_PRIME = 2**61 - 31
+# Pairs per chunk of the sort's output: its group sums are yielded and
+# folded a chunk at a time, and the pair rectangle is built a block of
+# about as many pairs at a time.
+_CHUNK_PAIRS = 2**16
 
 
 def _autocorrelation(
     values: np.ndarray, weights: np.ndarray, budget: WorkBudget | None = None
-) -> np.ndarray:
-    """Exact autocorrelation r(h) = sum_{m1 - m2 = h} c(m1) c(m2) of sorted
-    distinct values m (an int64 array, or an object array of Python ints)
-    with int64 counts c(m) = weights > 0.
+) -> _Summary:
+    """The summary of the exact autocorrelation r(h) = sum_{m1 - m2 = h}
+    c(m1) c(m2) of sorted distinct values m (an int64 array, or an object
+    array of Python ints) with int64 counts c(m) = weights > 0: r(0), the
+    sup over h, sum_h r(h)^3 and the mass sum_h r(h).
 
-    Returns r(0) followed by the nonzero r(h), h > 0, in no particular order
-    (r(-h) = r(h)), from the route the input favours: the dense transform
-    when the span is small next to the number s of distinct values, else
-    one sort of the s(s-1)/2 pairwise differences (_fingerprint_pair_sums).
-    The budget is charged the transform's digits, span * len(str(r(0))), or
-    the sort's s^2.
+    The route is the one the input favours: the dense transform when the
+    span is small next to the number s of distinct values, its summary
+    read off the span-sized correlation, else one sort of the s(s-1)/2
+    pairwise differences, whose group sums r(h), h > 0, are folded in
+    chunk by chunk as _fingerprint_pair_sums yields them (r(-h) = r(h)).
+    The budget is charged the transform's digits, span * len(str(r(0))),
+    or the sort's s^2.
 
     Every r(h) is at most r(0) = sum c^2 (Cauchy-Schwarz), which the
     transform's centre must equal (the sort sets r(0) to it), and the r(h)
@@ -95,9 +110,7 @@ def _autocorrelation(
         counts = np.zeros(span, dtype=np.int64)
         counts[_offsets(values, lo)] = weights
         corr = _dense_correlation(counts, digits)
-        got_center, got_mass = int(corr[span - 1]), int(corr.sum())
-        corr = corr[span - 1 :]
-        corr = corr[corr != 0]
+        summary = _fold(int(corr[span - 1]), [corr[span:]])._replace(mass=int(corr.sum()))
     else:
         if s * (s - 1) // 2 > _MAX_SORT_PAIRS:
             raise ValueError(
@@ -106,14 +119,29 @@ def _autocorrelation(
                 f"and {_MAX_SORT_PAIRS} sorted pairs; no budget lifts them"
             )
         budget.require(s * s, "product-correlation pair work")
-        if s == 1:
-            half = np.zeros(0, dtype=np.int64)
-        else:
-            half = _fingerprint_pair_sums(values, weights)
-        got_center, got_mass = r0, r0 + 2 * int(half.sum())
-        corr = np.concatenate(([r0], half))
-    _check_centre_and_mass(r0, got_center, r0, got_mass, int(weights.sum()) ** 2)
-    return corr
+        summary = _fold(r0, _fingerprint_pair_sums(values, weights) if s > 1 else ())
+    _check_centre_and_mass(r0, summary.r0, r0, summary.mass, int(weights.sum()) ** 2)
+    return summary
+
+
+class _Summary(NamedTuple):
+    """What lemma61_check reads of an autocorrelation r, over every h."""
+
+    r0: int
+    sup: int
+    cubes: int
+    mass: int
+
+
+def _fold(r0: int, halves: Iterable[np.ndarray]) -> _Summary:
+    """The summary of r(0) = r0 and of chunks of r(h), h > 0, that hold each
+    such h once (r(-h) = r(h))."""
+    sup, cubes, half = r0, 0, 0
+    for chunk in halves:
+        sup = max(sup, int(chunk.max()))
+        cubes += _power_sum(chunk, 3)
+        half += int(chunk.sum())
+    return _Summary(r0, sup, r0**3 + 2 * cubes, r0 + 2 * half)
 
 
 def _offsets(values, lo: int) -> np.ndarray:
@@ -185,39 +213,57 @@ def _dense_correlation(counts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _fold_shape(s: int) -> tuple[int, int]:
+    """(height, width) of the rectangle that the s(s-1)/2 pairs i < j of s
+    >= 2 values fill in _pair_differences."""
+    width = s if s % 2 else s - 1
+    return s * (s - 1) // 2 // width, width
+
+
+def _row_blocks(s: int) -> Iterator[tuple[int, int]]:
+    """The rows [start, stop) of the folded rectangle of s values, a block
+    of about _CHUNK_PAIRS pairs at a time."""
+    height, width = _fold_shape(s)
+    step = max(1, _CHUNK_PAIRS // width)
+    for start in range(0, height, step):
+        yield start, min(start + step, height)
+
+
+def _pair_block(values, weights, start: int, stop: int, diffs, prods):
+    """values[j] - values[i] into diffs and weights[i] * weights[j] into
+    prods, (stop - start, width) int64 arrays, for the pairs i < j in rows
+    start..stop-1 of the folded rectangle of two int64 arrays of length s.
+
+    Row k holds the pairs of i = k (j = k+1..s-1) followed by those of i =
+    2s - 2 - width - k, reversed: across it the j run along the values
+    followed by the reversed values, one sliding window per row, so each
+    array takes two broadcast operations and no Python loop."""
+    s, width = len(values), diffs.shape[1]
+    k = np.arange(start, stop)
+    folded = np.arange(width) >= s - 1 - k[:, None]
+    other = 2 * s - 2 - width - k
+    for x, op, out in ((values, np.subtract, diffs), (weights, np.multiply, prods)):
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x[::-1])), width)
+        windows = windows[start + 1 : stop + 1]
+        op(windows, x[start:stop, None], out=out)
+        op(windows, x[other, None], out=out, where=folded)
+
+
 def _pair_differences(values: np.ndarray, weights: np.ndarray):
     """values[j] - values[i] and weights[i] * weights[j] for every i < j of
     two int64 arrays of length s >= 2, as flat arrays in the order of
-    _pair_rows_cols.
-
-    Row i of the pairs (j = i+1..s-1) is folded together with row
-    2s - 2 - width - i, reversed, into one row of `width` = s (s odd) or
-    s - 1 (s even) entries, so the pairs fill a height x width rectangle.
-    Across a folded row the j run along values followed by the reversed
-    values, one sliding window per row, so each array takes two broadcast
-    operations and no Python loop.  The one temporary as large as the pairs
-    is the mask of the folded-in part, one byte a pair."""
-    s = len(values)
-    width = s if s % 2 else s - 1
-    height = s * (s - 1) // 2 // width
-    k = np.arange(height)
-    folded = np.arange(width) >= s - 1 - k[:, None]
-    other = 2 * s - 2 - width - k
-    out = []
-    for x, op in ((values, np.subtract), (weights, np.multiply)):
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x[::-1])), width)
-        windows = windows[1 : height + 1]
-        res = np.empty((height, width), dtype=np.int64)
-        op(windows, x[:height, None], out=res)
-        op(windows, x[other, None], out=res, where=folded)
-        out.append(res.ravel())
-    return out[0], out[1]
+    _pair_rows_cols: the folded rectangle (_pair_block), built a block of
+    rows at a time."""
+    diffs, prods = (np.empty(_fold_shape(len(values)), dtype=np.int64) for _ in range(2))
+    for start, stop in _row_blocks(len(values)):
+        _pair_block(values, weights, start, stop, diffs[start:stop], prods[start:stop])
+    return diffs.ravel(), prods.ravel()
 
 
 def _pair_rows_cols(pairs: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The (i, j), i < j, of the pairs at the given positions of
     _pair_differences(values, weights) for s values."""
-    width = s if s % 2 else s - 1
+    width = _fold_shape(s)[1]
     k, c = np.divmod(pairs, width)
     first = c < s - 1 - k
     rows = np.where(first, k, 2 * s - 2 - width - k)
@@ -229,66 +275,104 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
+def _chunk_bounds(n: int, group) -> Iterator[tuple[int, int]]:
+    """Cut n pairs, sorted on their group(i), into slices [start, stop) of
+    at most _CHUNK_PAIRS pairs, each ending where a group does: a binary
+    search for where the group of the first pair past the chunk begins.
+    A group longer than a chunk is one slice."""
+    start = 0
+    while start < n:
+        stop = min(start + _CHUNK_PAIRS, n)
+        if stop < n:
+            key = group(stop)
+            cut = bisect_left(range(n), key, start, stop, key=group)
+            stop = cut if cut > start else bisect_right(range(n), key, stop, n, key=group)
+        yield start, stop
+        start = stop
+
+
 def _group_sums(keys: np.ndarray, prods: np.ndarray):
-    """Sort the keys and sum the weights of equal keys: (order, run starts,
-    run sums)."""
+    """Argsort the keys and sum the products of equal keys, a chunk of whole
+    groups at a time (_chunk_bounds): (order, run starts, run sums) of each
+    chunk, its slice of the order and the starts within it.  The keys, the
+    products and the order are the only arrays over every pair."""
     order = np.argsort(keys)
-    starts = _run_starts(keys[order])
-    return order, starts, np.add.reduceat(prods[order], starts)
+    for start, stop in _chunk_bounds(len(keys), lambda i: int(keys[order[i]])):
+        part = order[start:stop]
+        starts = _run_starts(keys[part])
+        yield part, starts, np.add.reduceat(prods[part], starts)
 
 
-def _fingerprint_pair_sums(values, weights: np.ndarray) -> np.ndarray:
-    """r(h) for h > 0 from sorted distinct values of any size: an int64
-    array, or any sequence of Python ints.
+def _fingerprint_pair_sums(values, weights: np.ndarray) -> Iterator[np.ndarray]:
+    """r(h) for h > 0 from sorted distinct values of any size (an int64
+    array, or any sequence of Python ints), yielded in chunks of whole
+    groups, at most _CHUNK_PAIRS pairs unless one group is longer, so no h
+    is split or repeated; the order of the h is not specified.
 
     Pairs are grouped on their difference, one sort over the keys m - lo.
     When hi - lo is below 2^63, every key and every key difference is exact
     in int64, so no two h can share a group.  If, besides, (hi - lo + 1)
     shifted left by the bit length b of the largest weight product stays
     below 2^63, each difference and its weight product are packed into one
-    int64, difference << b | product, and that array is sorted in place:
-    runs of equal high bits are the groups and their low bits the sums.
-    Otherwise the differences are argsorted and the products gathered
-    (_group_sums).  Past 2^63 the keys are (m - lo) mod _FINGERPRINT_PRIME,
-    and the exact differences are compared inside every group of two or
-    more pairs; if any group holds two, all such pairs are grouped again on
-    their exact differences, so a collision mod the prime cannot merge two
-    h."""
+    int64, difference << b | product, built a block of rows at a time into
+    the one array over every pair, and that array is sorted in place: runs
+    of equal high bits are the groups and their low bits the sums.
+    Otherwise the differences are argsorted and the products gathered a
+    chunk at a time (_group_sums).  Past 2^63 the keys are (m - lo) mod
+    _FINGERPRINT_PRIME, and the exact differences are compared inside every
+    group of two or more pairs of a chunk; if any group holds two h, those
+    pairs are grouped again on their exact differences.  Pairs of one exact
+    difference share a residue and so a chunk, and a collision mod the
+    prime cannot merge two h."""
     s, lo, hi = len(values), int(values[0]), int(values[-1])
     if hi - lo < 2**63:
-        diffs, prods = _pair_differences(_offsets(values, lo), weights)
+        offsets = _offsets(values, lo)
         top = np.sort(weights)[-2:]
         b = int(top[0] * top[1]).bit_length()
         if (hi - lo + 1) << b >= 2**63:
-            return _group_sums(diffs, prods)[2]
-        diffs <<= b
-        diffs |= prods
-        del prods
-        diffs.sort()
-        starts = _run_starts(diffs >> b)
-        diffs &= (1 << b) - 1
-        return np.add.reduceat(diffs, starts)
+            for _, _, sums in _group_sums(*_pair_differences(offsets, weights)):
+                yield sums
+            return
+        packed = np.empty(_fold_shape(s), dtype=np.int64)
+        blocks = list(_row_blocks(s))
+        prods = np.empty_like(packed[: blocks[0][1]])  # the first block is the tallest
+        for start, stop in blocks:
+            block, products = packed[start:stop], prods[: stop - start]
+            _pair_block(offsets, weights, start, stop, block, products)
+            block <<= b
+            block |= products
+        del prods, products
+        packed = packed.ravel()
+        packed.sort()
+        low = (1 << b) - 1
+        for start, stop in _chunk_bounds(len(packed), lambda i: int(packed[i]) >> b):
+            chunk = packed[start:stop]
+            starts = _run_starts(chunk >> b)
+            chunk &= low  # the bounds of later chunks read only later keys
+            yield np.add.reduceat(chunk, starts)
+        return
     residues = np.array([(m - lo) % _FINGERPRINT_PRIME for m in values], dtype=np.int64)
     keys, prods = _pair_differences(residues, weights)
     keys %= _FINGERPRINT_PRIME
-    order, starts, sums = _group_sums(keys, prods)
-    del keys
-    sizes = np.diff(np.append(starts, len(order)))
-    shared = np.repeat(sizes > 1, sizes)
-    if not shared.any():
-        return sums
-    pairs = order[shared]
-    rows, cols = _pair_rows_cols(pairs, s)
     exact = np.array(values, dtype=object)
-    differences = exact[cols] - exact[rows]
-    counts = sizes[sizes > 1]
-    firsts = np.cumsum(counts) - counts
-    if (differences == np.repeat(differences[firsts], counts)).all():
-        return sums
-    _, by_difference = np.unique(differences, return_inverse=True)
-    regrouped = np.zeros(by_difference.max() + 1, dtype=np.int64)
-    np.add.at(regrouped, by_difference, prods[pairs])
-    return np.concatenate((sums[sizes == 1], regrouped))
+    for part, starts, sums in _group_sums(keys, prods):
+        sizes = np.diff(np.append(starts, len(part)))
+        shared = np.repeat(sizes > 1, sizes)
+        if not shared.any():
+            yield sums
+            continue
+        pairs = part[shared]
+        rows, cols = _pair_rows_cols(pairs, s)
+        differences = exact[cols] - exact[rows]
+        counts = sizes[sizes > 1]
+        firsts = np.cumsum(counts) - counts
+        if (differences == np.repeat(differences[firsts], counts)).all():
+            yield sums
+            continue
+        _, by_difference = np.unique(differences, return_inverse=True)
+        regrouped = np.zeros(by_difference.max() + 1, dtype=np.int64)
+        np.add.at(regrouped, by_difference, prods[pairs])
+        yield np.concatenate((sums[sizes == 1], regrouped))
 
 
 # --- the grid product autocorrelation -----------------------------------------
@@ -595,14 +679,14 @@ def lemma61_check(aset: SetLike, budget: WorkBudget | None = None) -> dict[str, 
     sup_r is taken over every h with r_A(h) > 0.  (Whether the center
     dominates, sup_r == r0, is deliberately *not* enforced here — that is
     the property the callers test.)  The sorted distinct products and their
-    counts come as arrays from _product_counts, and the correlation from
-    _autocorrelation, which picks its route from the products' span and
-    count; a set past the memory caps of every route raises ValueError."""
+    counts come as arrays from _product_counts, and the three numbers from
+    the summary that _autocorrelation folds on the route it picks from the
+    products' span and count, so no table of r_A(h) is kept; a set past the
+    memory caps of every route raises ValueError."""
     aset = FiniteRealSet.from_values(aset)
     if len(aset) > 500:
         raise ValueError("lemma61_check supports sets of at most 500 elements")
     ints, _ = _scaled_integers(aset)
     values, counts = _product_counts(ints)
-    corr = _autocorrelation(values, counts, budget)
-    r0 = int(corr[0])
-    return {"sup_r": int(corr.max()), "r0": r0, "i3": 2 * _power_sum(corr, 3) - r0**3}
+    summary = _autocorrelation(values, counts, budget)
+    return {"sup_r": summary.sup, "r0": summary.r0, "i3": summary.cubes}

@@ -33,6 +33,7 @@ from commucount.divisor import (
 from commucount.core import divisor_tau, zeta_value
 from commucount.errors import BudgetExceeded, InvariantViolation
 from commucount.oracle import WorkBudget, brute_r_table
+from test_rank3 import traced_peak_mb
 
 
 # --- the dense transform -------------------------------------------------------
@@ -423,39 +424,42 @@ def _seeded_set(seed, size, bound):
     return [int(v) for v in rng.choice(2 * bound + 1, size=size, replace=False) - bound]
 
 
-@pytest.mark.parametrize(
-    "route, vals",
-    [
-        # narrow span, many distinct products
-        pytest.param("_dense_correlation", _seeded_set(8, 30, 40), id="dense-30-in-40"),
-        pytest.param("_dense_correlation", list(range(1, 25)), id="dense-1-to-24"),
-        # span / s^2 = 0.0246, 0.0252 and 0.0644: either side of
-        # _DENSE_SPAN_PER_PAIR = 0.025, and inside the band (0.025, 0.07]
-        # the transform took while its rival was the argsort
-        pytest.param("_dense_correlation", _seeded_set(7, 20, 15), id="dense-span-0.0246s2"),
-        pytest.param("_fingerprint_pair_sums", _seeded_set(1, 30, 40), id="sort-span-0.0252s2"),
-        pytest.param("_fingerprint_pair_sums", _seeded_set(6, 14, 20), id="sort-span-0.0644s2"),
-        # wide span, every product within int64: the sort on exact
-        # differences (the 12 values in 2e9 have products spanning 8e18)
-        pytest.param("_fingerprint_pair_sums", [-7, -2, 1, 3, 4, 9, 12], id="int64-7-small"),
-        pytest.param("_fingerprint_pair_sums", _seeded_set(2, 25, 10**6), id="int64-25-in-1e6"),
-        pytest.param(
-            "_fingerprint_pair_sums", _seeded_set(3, 12, 2 * 10**9), id="int64-12-in-2e9"
-        ),
-        # products past 2^62: the sort, on residues
-        pytest.param("_fingerprint_pair_sums", [3 * 2**k for k in range(32)], id="fp-3x2k"),
-        # many equal differences: shared buckets whose exact differences agree
-        pytest.param("_fingerprint_pair_sums", [2**70 * i for i in range(1, 20)], id="fp-ap"),
-        pytest.param(
-            "_fingerprint_pair_sums",
-            [v * 2**40 + 1 for v in _seeded_set(4, 15, 10**6)],
-            id="fp-15-shifted",
-        ),
-    ],
-)
+ROUTE_CASES = [
+    # narrow span, many distinct products
+    pytest.param("_dense_correlation", _seeded_set(8, 30, 40), id="dense-30-in-40"),
+    pytest.param("_dense_correlation", list(range(1, 25)), id="dense-1-to-24"),
+    # span / s^2 = 0.0246, 0.0252 and 0.0644: either side of
+    # _DENSE_SPAN_PER_PAIR = 0.025, and inside the band (0.025, 0.07]
+    # the transform took while its rival was the argsort
+    pytest.param("_dense_correlation", _seeded_set(7, 20, 15), id="dense-span-0.0246s2"),
+    pytest.param("_fingerprint_pair_sums", _seeded_set(1, 30, 40), id="sort-span-0.0252s2"),
+    pytest.param("_fingerprint_pair_sums", _seeded_set(6, 14, 20), id="sort-span-0.0644s2"),
+    # wide span, every product within int64: the sort on exact
+    # differences (the 12 values in 2e9 have products spanning 8e18)
+    pytest.param("_fingerprint_pair_sums", [-7, -2, 1, 3, 4, 9, 12], id="int64-7-small"),
+    pytest.param("_fingerprint_pair_sums", _seeded_set(2, 25, 10**6), id="int64-25-in-1e6"),
+    pytest.param(
+        "_fingerprint_pair_sums", _seeded_set(3, 12, 2 * 10**9), id="int64-12-in-2e9"
+    ),
+    # products past 2^62: the sort, on residues
+    pytest.param("_fingerprint_pair_sums", [3 * 2**k for k in range(32)], id="fp-3x2k"),
+    # many equal differences: shared buckets whose exact differences agree
+    pytest.param("_fingerprint_pair_sums", [2**70 * i for i in range(1, 20)], id="fp-ap"),
+    pytest.param(
+        "_fingerprint_pair_sums",
+        [v * 2**40 + 1 for v in _seeded_set(4, 15, 10**6)],
+        id="fp-15-shifted",
+    ),
+]
+
+
+@pytest.mark.parametrize("route, vals", ROUTE_CASES)
 def test_each_route_matches_naive(routes_taken, route, vals):
     assert lemma61_check(vals) == naive_correlation_stats(vals)
     assert routes_taken == [route]
+
+
+FORCED_COLLISIONS = ([1, 2**61 - 30], [1, 2, 2**61 - 30, 2**61 - 29], [-1, 1, 2**61 - 30])
 
 
 def test_fingerprint_route_separates_forced_collisions(routes_taken):
@@ -463,7 +467,7 @@ def test_fingerprint_route_separates_forced_collisions(routes_taken):
     # products 1, 2^61 - 30 and (2^61 - 30)^2 differ pairwise by distinct
     # multiples of p, all in one bucket; the larger sets mix such buckets
     # with ordinary ones.
-    for vals in ([1, 2**61 - 30], [1, 2, 2**61 - 30, 2**61 - 29], [-1, 1, 2**61 - 30]):
+    for vals in FORCED_COLLISIONS:
         assert lemma61_check(vals) == naive_correlation_stats(vals)
     assert set(routes_taken) == {"_fingerprint_pair_sums"}
 
@@ -486,6 +490,11 @@ def test_int64_spans_sort_on_exact_keys(monkeypatch):
     assert keys == [[m - products[0] for m in products]]
 
 
+def pair_sums(values, weights):
+    """The r(h), h > 0, of _fingerprint_pair_sums, its chunks joined."""
+    return np.concatenate(list(divisor._fingerprint_pair_sums(values, weights)))
+
+
 def naive_pair_sums(values, weights):
     """{h: r(h)} for h > 0 by a double loop over the distinct values."""
     sums = Counter()
@@ -495,27 +504,27 @@ def naive_pair_sums(values, weights):
     return dict(sums)
 
 
-@pytest.mark.parametrize(
-    "values",
-    [
-        # around the fingerprint prime P the keys are exact int64; mod P the
-        # differences P and P + 1 would fall to 0 and 1
-        [0, 1, divisor._FINGERPRINT_PRIME],
-        [0, 1, divisor._FINGERPRINT_PRIME + 1],
-        [0, 1, divisor._FINGERPRINT_PRIME - 1],
-        # hi - lo = 2^63 - 1: the largest span with exact int64 keys
-        [0, 1, 2**63 - 1],
-        # hi - lo = 2^63: the keys are residues mod P (2^63 = 4P + 124)
-        [0, 1, 2**63],
-        # hi - lo = 5P + 1 > 2^63: the differences 1 and 5P + 1 share the
-        # residue 1, so their bucket must be split by the exact comparison
-        [0, 1, 5 * divisor._FINGERPRINT_PRIME + 1],
-    ],
-    ids=["width-P", "width-P+1", "width-P-1", "width-2^63-1", "width-2^63", "width-5P+1"],
-)
+BOUNDARY_VALUES = [
+    # around the fingerprint prime P the keys are exact int64; mod P the
+    # differences P and P + 1 would fall to 0 and 1
+    [0, 1, divisor._FINGERPRINT_PRIME],
+    [0, 1, divisor._FINGERPRINT_PRIME + 1],
+    [0, 1, divisor._FINGERPRINT_PRIME - 1],
+    # hi - lo = 2^63 - 1: the largest span with exact int64 keys
+    [0, 1, 2**63 - 1],
+    # hi - lo = 2^63: the keys are residues mod P (2^63 = 4P + 124)
+    [0, 1, 2**63],
+    # hi - lo = 5P + 1 > 2^63: the differences 1 and 5P + 1 share the
+    # residue 1, so their bucket must be split by the exact comparison
+    [0, 1, 5 * divisor._FINGERPRINT_PRIME + 1],
+]
+BOUNDARY_IDS = ["width-P", "width-P+1", "width-P-1", "width-2^63-1", "width-2^63", "width-5P+1"]
+
+
+@pytest.mark.parametrize("values", BOUNDARY_VALUES, ids=BOUNDARY_IDS)
 def test_sort_at_the_exactness_boundary(values):
     weights = np.array([3, 5, 7], dtype=np.int64)
-    got = divisor._fingerprint_pair_sums(values, weights)
+    got = pair_sums(values, weights)
     want = naive_pair_sums(values, weights.tolist())
     assert sorted(got.tolist()) == sorted(want.values())
     assert len(got) == len(want) == 3
@@ -634,24 +643,75 @@ def test_packed_sort_at_the_int64_boundary(monkeypatch, as_array, width, weights
         return inner(keys, prods)
 
     monkeypatch.setattr(divisor, "_group_sums", spy)
-    got = divisor._fingerprint_pair_sums(
-        np.array(values, dtype=np.int64) if as_array else values, weights
-    )
+    got = pair_sums(np.array(values, dtype=np.int64) if as_array else values, weights)
     want = naive_pair_sums(values, weights.tolist())
     assert sorted(got.tolist()) == sorted(want.values())
     assert calls == ([] if packed else [3])
 
 
-def test_packed_sums_wider_than_their_bits():
+def _wide_sums_case():
     # 49 pairs share each of the small differences, so a group's sum of
     # weight products runs far past the b bits one product is packed in.
     rng = np.random.default_rng(11)
     values = (np.arange(50, dtype=np.int64) * 2**30).tolist()
-    weights = rng.integers(1, 1000, size=50).astype(np.int64)
-    got = divisor._fingerprint_pair_sums(values, weights)
+    return values, rng.integers(1, 1000, size=50).astype(np.int64)
+
+
+def test_packed_sums_wider_than_their_bits():
+    values, weights = _wide_sums_case()
+    got = pair_sums(values, weights)
     want = naive_pair_sums(values, weights.tolist())
     assert sorted(got.tolist()) == sorted(want.values())
     assert max(want.values()) >= 2 ** int(weights.max() ** 2).bit_length()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_sort_route_holds_with_tiny_chunks(monkeypatch, routes_taken, chunk):
+    """Chunks of one and of three pairs cut every sort-route case into many
+    chunks, and groups longer than a chunk (the 49 pairs of one difference
+    below) into slices of their own.  A chunk end inside a group would split
+    its r(h) in two, and a dropped or repeated group would break the mass."""
+    monkeypatch.setattr(divisor, "_CHUNK_PAIRS", chunk)
+    sort_sets = [case.values[1] for case in ROUTE_CASES if case.values[0] != "_dense_correlation"]
+    for vals in sort_sets + list(FORCED_COLLISIONS):
+        assert lemma61_check(vals) == naive_correlation_stats(vals)
+    assert set(routes_taken) == {"_fingerprint_pair_sums"}
+    weights = np.array([3, 5, 7], dtype=np.int64)
+    for values in BOUNDARY_VALUES:
+        chunks = list(divisor._fingerprint_pair_sums(values, weights))
+        assert len(chunks) > 1 or chunk > 1
+        want = naive_pair_sums(values, weights.tolist())
+        assert sorted(np.concatenate(chunks).tolist()) == sorted(want.values())
+    values, weights = _wide_sums_case()
+    want = naive_pair_sums(values, weights.tolist())
+    assert sorted(pair_sums(values, weights).tolist()) == sorted(want.values())
+
+
+def test_a_chunk_off_by_one_breaks_the_mass_identity(monkeypatch):
+    """The sort route's sums are folded chunk by chunk, and one group sum
+    off by one in the second chunk breaks (sum c)^2 = sum_h r(h)."""
+    monkeypatch.setattr(divisor, "_CHUNK_PAIRS", 3)
+    inner = divisor._fingerprint_pair_sums
+
+    def broken(values, weights):
+        for k, chunk in enumerate(inner(values, weights)):
+            if k == 1:
+                chunk[0] += 1
+            yield chunk
+
+    monkeypatch.setattr(divisor, "_fingerprint_pair_sums", broken)
+    with pytest.raises(InvariantViolation):
+        lemma61_check([-7, -2, 1, 3, 4, 9, 12])
+
+
+def test_lemma61_sort_route_holds_little_memory():
+    """56 values in +-10^6 have 1,272,810 pairs of distinct products: the
+    packed keys, 10.2 MB, are the one array over them.  Differences,
+    weight products, run starts, r(h) and its cubes over every pair took
+    30.4 MB."""
+    vals = _seeded_set(56, 56, 10**6)
+    lemma61_check(vals[:10])
+    assert traced_peak_mb(lambda: lemma61_check(vals)) < 16
 
 
 def naive_r_set(ints, t):
